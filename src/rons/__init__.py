@@ -14,12 +14,10 @@ from .ansatz import (
     Mode,
     ParameterVector,
     SineWave,
-    TangentBasis,
     VortexStreamFunction,
     builtin_families,
     fourier_modes,
     sample,
-    tangent_basis,
 )
 from .engine import (
     FitResult,

@@ -7,6 +7,13 @@ take the spatial derivatives its PDE needs.  All derivatives are closed
 forms; no numerical differentiation happens at evaluation time.  The test
 suite validates every closed form against central finite differences.
 
+The Gaussian stream-function family has a single kernel,
+`VortexStreamFunction.terms`, which builds the requested derivative orders
+and parameter tangents of all vortices in one pass.  The vorticity model
+calls it once per parameter state and packs the results into the
+`ModelEvaluation` bundle that the engine, the constraint gradients and the
+integrator's recorder share.  Nothing is cached between calls.
+
 Point batches are arrays of shape (P,) for 1D families and (P, 2) for the
 2D stream-function family.
 """
@@ -24,7 +31,6 @@ from .hilbert import FieldSample, QuadratureRule
 __all__ = [
     "ParameterVector",
     "AnsatzFamily",
-    "TangentBasis",
     "SineWave",
     "HeatKernel",
     "GaussianWavePacket",
@@ -33,7 +39,6 @@ __all__ = [
     "Mode",
     "fourier_modes",
     "sample",
-    "tangent_basis",
     "builtin_families",
     "param_values",
 ]
@@ -142,34 +147,10 @@ class AnsatzFamily:
         return ParameterVector(np.asarray(values, dtype=float), self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    """Tangent fields du/dq_i sampled on a rule, stacked as (n, P)."""
-
-    fields: np.ndarray
-
-    def gram(self, rule: QuadratureRule) -> np.ndarray:
-        """Real Gram matrix of the fields under the rule's inner product."""
-        weighted = self.fields * rule.weights
-        g = weighted @ self.fields.conj().T
-        g = np.real(g)
-        return 0.5 * (g + g.T)
-
-
 def sample(family: AnsatzFamily, q, rule: QuadratureRule) -> FieldSample:
     """Evaluate the ansatz at every node of the rule."""
     qv = family.require_valid(q)
     return FieldSample(family.evaluate(rule.nodes, qv))
-
-
-def tangent_basis(family: AnsatzFamily, q, rule: QuadratureRule) -> TangentBasis:
-    """Sample all tangent fields on the rule.
-
-    Positive-definiteness of the Gram matrix (the immersion assumption) is
-    checked lazily by the engine when it factors the metric tensor.
-    """
-    qv = family.require_valid(q)
-    return TangentBasis(family.tangent_stack(rule.nodes, qv))
 
 
 # ---------------------------------------------------------------------------
@@ -359,56 +340,15 @@ class GaussianWavePacket(AnsatzFamily):
         raise ValueError("wave-packet derivatives implemented through order 2")
 
 
-class _GaussianTerm:
-    """One axisymmetric vortex's Gaussian factor and its derivative algebra.
-
-    Everything is expressed through the scaled offsets sx, sy, the shared
-    exponential E = exp(-sx^2 - sy^2) and Hermite tables, so that an
-    arbitrary mixed derivative costs only array products:
-
-        D^(a,b) G = (-1)^(a+b) L^-(a+b) H_a(sx) H_b(sy) E.
-    """
-
-    __slots__ = ("L", "sx", "sy", "s2", "E", "Hx", "Hy")
-
-    def __init__(self, points, L, xc, yc, kmax=5):
-        self.L = L
-        self.sx = (points[:, 0] - xc) / L
-        self.sy = (points[:, 1] - yc) / L
-        self.s2 = self.sx**2 + self.sy**2
-        self.E = np.exp(-self.s2)
-        self.Hx = _hermite_table(self.sx, kmax)
-        self.Hy = _hermite_table(self.sy, kmax)
-
-    def d(self, a, b):
-        n = a + b
-        return (-1.0) ** n * self.L ** (-n) * self.Hx[a] * self.Hy[b] * self.E
-
-    def d_dL(self, a, b):
-        # d/dL of D^(a,b) G, using dsx/dL = -sx/L and H_k' = 2k H_{k-1}
-        n = a + b
-        bracket = (2.0 * self.s2 - n) * self.Hx[a] * self.Hy[b]
-        if a >= 1:
-            bracket = bracket - 2.0 * a * self.sx * self.Hx[a - 1] * self.Hy[b]
-        if b >= 1:
-            bracket = bracket - 2.0 * b * self.sy * self.Hx[a] * self.Hy[b - 1]
-        return (-1.0) ** n * self.L ** (-n - 1) * bracket * self.E
-
-    def d_dxc(self, a, b):
-        return -self.d(a + 1, b)
-
-    def d_dyc(self, a, b):
-        return -self.d(a, b + 1)
-
-
 class VortexStreamFunction(AnsatzFamily):
     """Stream function of N axisymmetric Gaussian vortices.
 
     psi(x; q) = sum_i A_i exp(-|x - x_i|^2 / L_i^2) with 4 parameters
     (A_i, L_i, x_i, y_i) per vortex.  The family evaluates the stream
     function; the vorticity model derives velocity and vorticity from it.
-    Spatial derivatives are provided through total order 4 because the
-    inviscid right-hand side involves third and fourth derivatives of psi.
+    Every value, tangent and spatial derivative comes from one kernel,
+    `terms`, which builds all requested derivative orders of all vortices
+    in a single pass.
     """
 
     def __init__(self, n_vortices: int):
@@ -424,12 +364,6 @@ class VortexStreamFunction(AnsatzFamily):
     def unpack(self, q):
         q = np.asarray(q, dtype=float).reshape(self.n_vortices, 4)
         return q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-
-    # one-slot memo for the Gaussian kernel tables: within one reduced-system
-    # assembly the model evaluation and both fluid invariants ask for the
-    # same (points, q) combination back to back
-    _terms_key = None
-    _terms_value = None
 
     def centers(self, q) -> np.ndarray:
         _, _, xc, yc = self.unpack(q)
@@ -448,66 +382,80 @@ class VortexStreamFunction(AnsatzFamily):
             return f"amplitudes must be nonzero, got {A}"
         return None
 
-    def terms(self, points, q) -> list[_GaussianTerm]:
-        key = (id(points), np.asarray(q, dtype=float).tobytes())
-        if key == self._terms_key:
-            return self._terms_value
+    def terms(self, points, q, orders, tangent_orders):
+        """Mixed spatial derivatives of psi and their parameter tangents.
+
+        Returns (psi, dpsi): psi[a, b] is D^(a,b) psi, shape (P,), for each
+        (a, b) in `orders`, and dpsi[a, b] is d/dq of D^(a,b) psi, shape
+        (n, P), for each (a, b) in `tangent_orders`; orders are (a, b)
+        tuples.  With the scaled
+        offsets sx = (x - x_i)/L_i, sy = (y - y_i)/L_i, E = exp(-sx^2 - sy^2)
+        and the Hermite polynomials H_k, each Gaussian factor has
+
+            D^(a,b) G_i = [(-1/L_i)^a H_a(sx)] [(-1/L_i)^b H_b(sy) E],
+
+        built here as one (orders x vortices x P) table.  Only the tables
+        that are asked for are built: a full tangent table of every order
+        would dominate the memory of a large rule.
+        """
         A, L, xc, yc = self.unpack(q)
-        value = [
-            _GaussianTerm(points, L[i], xc[i], yc[i])
-            for i in range(self.n_vortices)
-        ]
-        self._terms_key = key
-        self._terms_value = value
-        return value
+        A, L = A[:, None], L[:, None]
+        shape = (self.n_vortices, len(points))
+        sx = (points[:, 0] - xc[:, None]) / L
+        sy = (points[:, 1] - yc[:, None]) / L
+        s2 = sx**2 + sy**2
+        # the tangents of D^(a,b) G need the neighbouring orders: the center
+        # tangents are -D^(a+1,b) G and -D^(a,b+1) G, and with dsx/dL = -sx/L
+        # and H_k' = 2k H_{k-1} the length-scale tangent is
+        #   [(2 s^2 - a - b) D^(a,b) G + 2a sx/L D^(a-1,b) G + 2b sy/L D^(a,b-1) G] / L
+        needed = set(orders)
+        for a, b in tangent_orders:
+            needed |= {(a, b), (a + 1, b), (a, b + 1), (max(a - 1, 0), b), (a, max(b - 1, 0))}
+        needed = sorted(needed)
+        kmax = max(max(o) for o in needed)
+        E = np.exp(-s2)
+        Dx = [(-1.0 / L) ** k * H for k, H in enumerate(_hermite_table(sx, kmax))]
+        DyE = [(-1.0 / L) ** k * H * E for k, H in enumerate(_hermite_table(sy, kmax))]
+        G = np.empty((len(needed),) + shape)
+        row = {}
+        for k, (a, b) in enumerate(needed):
+            np.multiply(Dx[a], DyE[b], out=G[k])
+            row[a, b] = k
+        del Dx, DyE                                        # before the tangent tables
+        psi_all = A[:, 0] @ G
+        psi = {o: psi_all[row[o]] for o in orders}
 
-    def psi_derivative(self, points, q, order, terms=None):
-        """Mixed spatial derivative of psi of order (ax, ay), total <= 4."""
-        a, b = order
-        A = self.unpack(q)[0]
-        terms = terms if terms is not None else self.terms(points, q)
-        out = np.zeros(len(points))
-        for Ai, term in zip(A, terms):
-            out += Ai * term.d(a, b)
-        return out
-
-    def psi_tangent_derivative(self, points, q, i, order, terms=None):
-        """d/dq_i of the spatial derivative D^(a,b) psi."""
-        a, b = order
-        A = self.unpack(q)[0]
-        terms = terms if terms is not None else self.terms(points, q)
-        vortex, which = divmod(i, 4)
-        term = terms[vortex]
-        if which == 0:  # amplitude
-            return term.d(a, b)
-        if which == 1:  # length scale
-            return A[vortex] * term.d_dL(a, b)
-        if which == 2:  # center x
-            return A[vortex] * term.d_dxc(a, b)
-        if which == 3:  # center y
-            return A[vortex] * term.d_dyc(a, b)
-        raise IndexError(i)
+        dpsi = {}
+        for a, b in tangent_orders:
+            d_dL = (2.0 * s2 - (a + b)) * G[row[a, b]]
+            if a >= 1:
+                d_dL += 2.0 * a * sx / L * G[row[a - 1, b]]
+            if b >= 1:
+                d_dL += 2.0 * b * sy / L * G[row[a, b - 1]]
+            d = np.empty((shape[0], 4, shape[1]))          # A_i, L_i, x_i, y_i
+            d[:, 0] = G[row[a, b]]
+            np.multiply(A / L, d_dL, out=d[:, 1])
+            np.multiply(-A, G[row[a + 1, b]], out=d[:, 2])
+            np.multiply(-A, G[row[a, b + 1]], out=d[:, 3])
+            dpsi[a, b] = d.reshape(self.n, -1)
+        return psi, dpsi
 
     def evaluate(self, points, q):
-        return self.psi_derivative(points, q, (0, 0))
+        return self.terms(points, q, ((0, 0),), ())[0][0, 0]
 
     def tangent(self, points, q, i):
-        return self.psi_tangent_derivative(points, q, i, (0, 0))
+        return self.tangent_stack(points, q)[i]
 
     def tangent_stack(self, points, q):
-        terms = self.terms(points, q)
-        return np.stack(
-            [
-                self.psi_tangent_derivative(points, q, i, (0, 0), terms=terms)
-                for i in range(self.n)
-            ]
-        )
+        return self.terms(points, q, (), ((0, 0),))[1][0, 0]
 
     def spatial_derivative(self, points, q, order):
-        return self.psi_derivative(points, q, tuple(order))
+        order = tuple(order)
+        return self.terms(points, q, (order,), ())[0][order]
 
     def tangent_spatial_derivative(self, points, q, i, order):
-        return self.psi_tangent_derivative(points, q, i, tuple(order))
+        order = tuple(order)
+        return self.terms(points, q, (), (order,))[1][order][i]
 
 
 @dataclass(frozen=True)

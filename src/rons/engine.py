@@ -118,12 +118,15 @@ class ReducedSystem:
     f: np.ndarray
     constraints: ConstraintBlock | None
     evaluation: ModelEvaluation = field(repr=False)
-    rule: QuadratureRule = field(repr=False)
     jittered: bool = False
 
     @property
     def n(self) -> int:
         return len(self.q)
+
+    @property
+    def rule(self) -> QuadratureRule:
+        return self.evaluation.rule
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,11 @@ def assemble(
 
     `quantities` is a sequence of ConservedQuantity objects whose gradients
     must be linearly independent; dependence is detected by the Cholesky
-    factorization of C.  `jitter` adds jitter * trace(M)/n to the diagonal
-    of M; it is off by default because a near-singular M should abort loudly
-    rather than being silently regularized.
+    factorization of C.  Their gradients read the same model evaluation as
+    M and f, so the state is evaluated once.  `jitter` adds
+    jitter * trace(M)/n to the diagonal of M; it is off by default because a
+    near-singular M should abort loudly rather than being silently
+    regularized.
     """
     qv = family.require_valid(q)
     ev = model.evaluation(family, qv, rule)
@@ -177,7 +182,7 @@ def assemble(
     block = None
     if quantities:
         B = np.column_stack(
-            [np.asarray(qt.gradient(family, qv, rule), dtype=float) for qt in quantities]
+            [np.asarray(qt.gradient(family, qv, ev), dtype=float) for qt in quantities]
         )
         Minv_B = M.solve(B)
         C = _symmetrize(B.T @ Minv_B, "constraint matrix")
@@ -192,7 +197,6 @@ def assemble(
         f=f,
         constraints=block,
         evaluation=ev,
-        rule=rule,
         jittered=jitter > 0.0,
     )
 

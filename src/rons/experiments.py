@@ -326,17 +326,16 @@ def _run_nlse(config, out_dir, files, series):
 # -- euler family -----------------------------------------------------------
 
 
-def _vortex_circulations(family, q, rule):
-    """Net and positive-core circulation of each vortex, by quadrature."""
-    pts, w = rule.nodes, rule.weights
+def _vortex_circulations(family, q, evaluation):
+    """Net and positive-core circulation of each vortex, by quadrature.
+
+    Vortex i's own vorticity is A_i times the vorticity tangent along A_i.
+    """
+    w = evaluation.rule.weights
     net, core = [], []
     A = family.unpack(q)[0]
     for i in range(family.n_vortices):
-        base = 4 * i
-        omega_i = A[i] * -(
-            family.psi_tangent_derivative(pts, q, base, (2, 0))
-            + family.psi_tangent_derivative(pts, q, base, (0, 2))
-        )
+        omega_i = A[i] * evaluation.tangents[4 * i]
         net.append(float(np.sum(w * omega_i)))
         sgn = np.sign(A[i]) if A[i] != 0 else 1.0
         core.append(float(np.sum(w * omega_i * (sgn * omega_i > 0))))
@@ -378,7 +377,7 @@ def _run_euler(config, out_dir, files, series, n_vortices):
     # quadrature of each vortex's vorticity, and of its sign-definite core.
     # The Gaussian stream function makes each vortex shielded, so the net
     # circulations integrate to zero and that reference does not move.
-    net, core = _vortex_circulations(family, q0, rule0)
+    net, core = _vortex_circulations(family, q0, ev0)
     centers0 = family.centers(q0)
     pv_net = point_vortex(
         PointVortexState(net, centers0), config["t_end"] / 400, config["t_end"]
@@ -554,17 +553,14 @@ def _run_leapfrog(config, out_dir, files, series):
 
 def _write_euler_fields(config, traj, out_dir, files):
     family = VortexStreamFunction(len(traj.labels) // 4)
+    model = vorticity(config["nu"])
     rule = _window_rule(family, config["window_pad"], min(config["resolution"], 64))
     rows = []
     for t in _snapshot_times(traj.times[-1], config["snapshots"]):
         q = traj.interpolate(t)
         r = rule(q)
-        terms = family.terms(r.nodes, q)
-        psi = family.psi_derivative(r.nodes, q, (0, 0), terms=terms)
-        omega = -(
-            family.psi_derivative(r.nodes, q, (2, 0), terms=terms)
-            + family.psi_derivative(r.nodes, q, (0, 2), terms=terms)
-        )
+        psi = family.evaluate(r.nodes, q)
+        omega = model.evaluation(family, q, r).field
         rows += [
             [t, p[0], p[1], ps, om]
             for p, ps, om in zip(r.nodes, psi, omega)
@@ -1060,9 +1056,9 @@ def compare(summary_a: str | os.PathLike, summary_b: str | os.PathLike) -> dict:
     for ka, kb in pairs:
         if ka in a["metrics"] and kb in b["metrics"]:
             va, vb = a["metrics"][ka], b["metrics"][kb]
-            result["metric_gaps"][f"{ka}_vs_{kb}"] = {
-                "a": va,
-                "b": vb,
-                "rel_gap": abs(va - vb) / max(abs(vb), 1e-300),
-            }
+            # a non-finite metric is stored as null
+            gap = None if va is None or vb is None else _rel_gap(va, vb)
+            result["metric_gaps"][f"{ka}_vs_{kb}"] = _json_sanitize(
+                {"a": va, "b": vb, "rel_gap": gap}
+            )
     return result

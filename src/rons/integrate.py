@@ -119,7 +119,9 @@ class Trajectory:
 # generic steppers (also used by the oracles)
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution propagates
+# Dormand-Prince 5(4) tableau; the fifth-order solution propagates.  Its
+# weights are the last row of _DP_A, so the seventh stage sits at the new
+# state and its derivative is the first stage of the next step (FSAL)
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -130,7 +132,6 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -190,11 +191,10 @@ def solve_adaptive_rk45(
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     k0 = f(t, y)
-    h = min(_initial_step(f, t, y, k0, t_end, rtol, atol), max_step)
-
     times, states, derivs = [t], [y.copy()], [k0.copy()]
     if step_callback is not None:
         step_callback(t, y, k0)
+    h = min(_initial_step(f, t, y, k0, t_end, rtol, atol), max_step)
 
     n_stages = 7
     h_floor = max(1e-14, 1e-12 * (t_end - t0))
@@ -216,8 +216,6 @@ def solve_adaptive_rk45(
                 for s in range(1, n_stages):
                     ys = y + h * (_DP_A[s] @ k[:s])
                     k[s] = f(t + _DP_C[s] * h, ys)
-                y5 = y + h * (_DP_B5 @ k)
-                k_next = f(t + h, y5)  # also validates the proposed state
             except _StageRejected:
                 domain_retries += 1
                 if domain_retries > max_domain_retries:
@@ -225,13 +223,14 @@ def solve_adaptive_rk45(
                 h *= 0.5
                 continue
 
+            y5 = ys
             y4 = y + h * (_DP_B4 @ k)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             err = np.linalg.norm((y5 - y4) / scale) / np.sqrt(y.size)
             if err <= 1.0:
                 t = t + h
                 y = y5
-                k0 = k_next
+                k0 = k[-1]
                 times.append(t)
                 states.append(y.copy())
                 derivs.append(k0.copy())
@@ -251,12 +250,13 @@ def solve_fixed_rk4(f, t0, y0, t_end, dt, *, step_callback=None):
     """Classical fixed-step RK4; the final step is shortened to land on t_end."""
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
-    times, states, derivs = [t], [y.copy()], [f(t, y)]
+    fy = f(t, y)
+    times, states, derivs = [t], [y.copy()], [fy]
     if step_callback is not None:
-        step_callback(t, y, derivs[0])
+        step_callback(t, y, fy)
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(dt, t_end - t)
-        k1 = f(t, y)
+        k1 = fy
         k2 = f(t + h / 2, y + h / 2 * k1)
         k3 = f(t + h / 2, y + h / 2 * k2)
         k4 = f(t + h, y + h * k3)
@@ -302,13 +302,14 @@ def integrate(
 
     q0 = family.require_valid(q0)
 
+    recorder = _Recorder(family, quantities, track_quantities, config)
+
     def rhs(_t, y):
         if not family.domain_check(y):
             raise _StageRejected
-        system = assemble(family, y, model, rule_of(y), quantities)
-        return reduced_rhs(system)
-
-    recorder = _Recorder(family, model, rule_of, quantities, track_quantities, config)
+        recorder.system = None  # release the previous state's tables first
+        recorder.system = assemble(family, y, model, rule_of(y), quantities)
+        return reduced_rhs(recorder.system)
 
     try:
         if config.scheme == "rk4":
@@ -351,12 +352,16 @@ def integrate(
 
 
 class _Recorder:
-    """Collects states and diagnostics at accepted steps."""
+    """Collects states and diagnostics at accepted steps.
 
-    def __init__(self, family, model, rule_of, quantities, track, config):
+    The steppers call back right after the right-hand side at the accepted
+    state, so the reduced system assembled last (`system`, set by the
+    integrator's right-hand side) is the one at that state.
+    """
+
+    def __init__(self, family, quantities, track, config):
         self.family = family
-        self.model = model
-        self.rule_of = rule_of
+        self.system = None
         self.quantities = quantities
         self.track = track
         self.stride = config.stride
@@ -370,9 +375,13 @@ class _Recorder:
         self.count += 1
         if not take:
             return
-        rule = self.rule_of(y)
-        system = assemble(self.family, y, self.model, rule, self.quantities)
-        qdot = reduced_rhs(system)
+        system = self.system
+        if not np.array_equal(system.q, y):
+            raise RuntimeError(
+                f"recorder at t = {t:.6g}: the last assembled system is not "
+                "at the accepted state"
+            )
+        qdot = np.array(ydot, dtype=float)
         rep = residual(system, qdot)
         self.times.append(t)
         self.states.append(np.asarray(y, dtype=float).copy())
@@ -383,7 +392,7 @@ class _Recorder:
         self.cond_C.append(rep.condition_C)
         if self.track:
             self.invariants.append(
-                [qt.value(self.family, y, rule) for qt in self.track]
+                [qt.value(self.family, y, system.rule) for qt in self.track]
             )
         if self.quantities:
             self.tangency.append(np.abs(constraint_tangency(system, qdot)))

@@ -6,11 +6,17 @@ itself; for the 2D vorticity model the ansatz prescribes the stream function
 while the evolved field is the vorticity w = -lap psi, so the model supplies
 both the field and its parameter tangents derived from psi.
 
+`PdeModel.evaluation` is the one evaluation pass per parameter state: the
+engine builds the metric tensor and forcing from its bundle, the constraint
+gradients read the same bundle, and the integrator's recorder reuses the
+reduced system built from it.
+
 Conserved quantities expose a value and a gradient in parameter space.  The
 wave-packet mass and energy use closed-form Gaussian moments (cross-checked
 against quadrature in the tests); the fluid invariants are integrated on the
-same quadrature rule the engine uses, with gradients taken under the
-integral sign so value and gradient stay mutually consistent.
+same quadrature rule the engine uses.  Their values are computed from the
+family alone, as references; their gradients are taken under the integral
+sign from the tables of the evaluation bundle.
 """
 
 from __future__ import annotations
@@ -39,16 +45,24 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ModelEvaluation:
-    """Evolved field, its parameter tangents and F, all on one rule's nodes.
+    """Everything one parameter state contributes, on one rule's nodes.
 
-    Bundling the three avoids recomputing the (comparatively expensive)
-    Gaussian kernels of the vortex family three times per right-hand-side
-    evaluation.
+    The engine forms the metric tensor and the forcing from `tangents`, `F`
+    and the rule's weights, and `engine.residual` reuses them for the
+    instantaneous error.  `ConservedQuantity.gradient` reads the bundle
+    instead of evaluating the family again: stream-function models also
+    fill in psi_x, psi_y (the velocity is (psi_y, -psi_x)) and their
+    parameter tangents for the kinetic-energy gradient.
     """
 
     field: np.ndarray        # (P,)
     tangents: np.ndarray     # (n, P)
     F: np.ndarray            # (P,)
+    rule: QuadratureRule
+    psi_x: np.ndarray | None = None            # (P,)
+    psi_y: np.ndarray | None = None            # (P,)
+    psi_x_tangents: np.ndarray | None = None   # (n, P)
+    psi_y_tangents: np.ndarray | None = None   # (n, P)
 
 
 class PdeModel:
@@ -56,20 +70,15 @@ class PdeModel:
 
     name: str = "pde"
 
-    def field(self, family: AnsatzFamily, q, rule: QuadratureRule) -> np.ndarray:
-        return family.evaluate(rule.nodes, q)
-
-    def tangents(self, family: AnsatzFamily, q, rule: QuadratureRule) -> np.ndarray:
-        return family.tangent_stack(rule.nodes, q)
-
     def apply_F(self, family: AnsatzFamily, q, rule: QuadratureRule) -> np.ndarray:
         raise NotImplementedError
 
     def evaluation(self, family: AnsatzFamily, q, rule: QuadratureRule) -> ModelEvaluation:
         return ModelEvaluation(
-            field=self.field(family, q, rule),
-            tangents=self.tangents(family, q, rule),
+            field=family.evaluate(rule.nodes, q),
+            tangents=family.tangent_stack(rule.nodes, q),
             F=self.apply_F(family, q, rule),
+            rule=rule,
         )
 
     #: conserved quantities this model can enforce (may be empty)
@@ -79,8 +88,9 @@ class PdeModel:
 class ConservedQuantity:
     """A functional I(q) with its parameter gradient.
 
-    Both take the quadrature rule so that quantities evaluated by quadrature
-    use exactly the nodes of the reduced system they constrain.
+    `value` takes the quadrature rule so that quantities evaluated by
+    quadrature use exactly the nodes of the reduced system they constrain.
+    `gradient` takes the model evaluation at q (closed forms ignore it).
     """
 
     name: str = "invariant"
@@ -88,7 +98,7 @@ class ConservedQuantity:
     def value(self, family: AnsatzFamily, q, rule: QuadratureRule) -> float:
         raise NotImplementedError
 
-    def gradient(self, family: AnsatzFamily, q, rule: QuadratureRule) -> np.ndarray:
+    def gradient(self, family: AnsatzFamily, q, evaluation: ModelEvaluation) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -129,7 +139,7 @@ class WavePacketMass(ConservedQuantity):
         A, L, V, phi = q
         return float(np.sqrt(np.pi / 2.0) * A**2 * L)
 
-    def gradient(self, family, q, rule=None):
+    def gradient(self, family, q, evaluation=None):
         A, L, V, phi = q
         c = np.sqrt(np.pi / 2.0)
         return np.array([2.0 * c * A * L, c * A**2, 0.0, 0.0])
@@ -157,7 +167,7 @@ class WavePacketEnergy(ConservedQuantity):
             / (8.0 * L)
         )
 
-    def gradient(self, family, q, rule=None):
+    def gradient(self, family, q, evaluation=None):
         A, L, V, phi = q
         rpi = np.sqrt(np.pi)
         r2 = np.sqrt(2.0)
@@ -203,6 +213,14 @@ def _require_stream_family(family) -> VortexStreamFunction:
     return family
 
 
+# psi derivative orders of the inviscid right-hand side: u = (psi_y, -psi_x),
+# w = -lap psi and grad w; the viscous term adds lap w
+_INVISCID_ORDERS = ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+_VISCOUS_ORDERS = ((4, 0), (2, 2), (0, 4))
+# orders whose parameter tangents are needed: those of w and of u
+_TANGENT_ORDERS = ((2, 0), (0, 2), (1, 0), (0, 1))
+
+
 class Vorticity(PdeModel):
     def __init__(self, nu: float):
         if nu < 0:
@@ -211,59 +229,33 @@ class Vorticity(PdeModel):
         self.name = "vorticity"
         self.conserved = euler_invariants()
 
-    def field(self, family, q, rule):
-        fam = _require_stream_family(family)
-        pts = rule.nodes
-        terms = fam.terms(pts, q)
-        return -(
-            fam.psi_derivative(pts, q, (2, 0), terms=terms)
-            + fam.psi_derivative(pts, q, (0, 2), terms=terms)
-        )
-
-    def tangents(self, family, q, rule):
-        fam = _require_stream_family(family)
-        pts = rule.nodes
-        terms = fam.terms(pts, q)
-        rows = []
-        for i in range(fam.n):
-            rows.append(
-                -(
-                    fam.psi_tangent_derivative(pts, q, i, (2, 0), terms=terms)
-                    + fam.psi_tangent_derivative(pts, q, i, (0, 2), terms=terms)
-                )
-            )
-        return np.stack(rows)
-
     def apply_F(self, family, q, rule):
         return self.evaluation(family, q, rule).F
 
     def evaluation(self, family, q, rule):
         fam = _require_stream_family(family)
-        pts = rule.nodes
-        terms = fam.terms(pts, q)
-
-        def psi(a, b):
-            return fam.psi_derivative(pts, q, (a, b), terms=terms)
-
-        w = -(psi(2, 0) + psi(0, 2))
-        rows = []
-        for i in range(fam.n):
-            rows.append(
-                -(
-                    fam.psi_tangent_derivative(pts, q, i, (2, 0), terms=terms)
-                    + fam.psi_tangent_derivative(pts, q, i, (0, 2), terms=terms)
-                )
-            )
-        tangents = np.stack(rows)
-
-        ux, uy = psi(0, 1), -psi(1, 0)
-        wx = -(psi(3, 0) + psi(1, 2))
-        wy = -(psi(2, 1) + psi(0, 3))
+        orders = _INVISCID_ORDERS + (_VISCOUS_ORDERS if self.nu > 0 else ())
+        psi, dpsi = fam.terms(rule.nodes, q, orders, _TANGENT_ORDERS)
+        w = -(psi[2, 0] + psi[0, 2])
+        ux, uy = psi[0, 1], -psi[1, 0]
+        wx = -(psi[3, 0] + psi[1, 2])
+        wy = -(psi[2, 1] + psi[0, 3])
         F = -(ux * wx + uy * wy)
         if self.nu > 0:
-            lap_w = -(psi(4, 0) + 2.0 * psi(2, 2) + psi(0, 4))
+            lap_w = -(psi[4, 0] + 2.0 * psi[2, 2] + psi[0, 4])
             F = F + self.nu * lap_w
-        return ModelEvaluation(field=w, tangents=tangents, F=F)
+        tangents = -dpsi[2, 0]     # in place: one (n, P) table fewer at the peak
+        tangents -= dpsi[0, 2]
+        return ModelEvaluation(
+            field=w,
+            tangents=tangents,
+            F=F,
+            rule=rule,
+            psi_x=psi[1, 0],
+            psi_y=psi[0, 1],
+            psi_x_tangents=dpsi[1, 0],
+            psi_y_tangents=dpsi[0, 1],
+        )
 
 
 def vorticity(nu: float) -> Vorticity:
@@ -277,24 +269,12 @@ class KineticEnergy(ConservedQuantity):
 
     def value(self, family, q, rule):
         fam = _require_stream_family(family)
-        pts, w = rule.nodes, rule.weights
-        terms = fam.terms(pts, q)
-        px = fam.psi_derivative(pts, q, (1, 0), terms=terms)
-        py = fam.psi_derivative(pts, q, (0, 1), terms=terms)
-        return float(0.5 * np.sum(w * (px**2 + py**2)))
+        psi, _ = fam.terms(rule.nodes, q, ((1, 0), (0, 1)), ())
+        return float(0.5 * np.sum(rule.weights * (psi[1, 0] ** 2 + psi[0, 1] ** 2)))
 
-    def gradient(self, family, q, rule):
-        fam = _require_stream_family(family)
-        pts, w = rule.nodes, rule.weights
-        terms = fam.terms(pts, q)
-        px = fam.psi_derivative(pts, q, (1, 0), terms=terms)
-        py = fam.psi_derivative(pts, q, (0, 1), terms=terms)
-        grad = np.empty(fam.n)
-        for i in range(fam.n):
-            dpx = fam.psi_tangent_derivative(pts, q, i, (1, 0), terms=terms)
-            dpy = fam.psi_tangent_derivative(pts, q, i, (0, 1), terms=terms)
-            grad[i] = np.sum(w * (px * dpx + py * dpy))
-        return grad
+    def gradient(self, family, q, evaluation):
+        ev, w = evaluation, evaluation.rule.weights
+        return ev.psi_x_tangents @ (w * ev.psi_x) + ev.psi_y_tangents @ (w * ev.psi_y)
 
 
 class Enstrophy(ConservedQuantity):
@@ -302,37 +282,13 @@ class Enstrophy(ConservedQuantity):
 
     name = "enstrophy"
 
-    @staticmethod
-    def _omega_and_tangents(fam, q, rule):
-        pts = rule.nodes
-        terms = fam.terms(pts, q)
-        w = -(
-            fam.psi_derivative(pts, q, (2, 0), terms=terms)
-            + fam.psi_derivative(pts, q, (0, 2), terms=terms)
-        )
-        rows = [
-            -(
-                fam.psi_tangent_derivative(pts, q, i, (2, 0), terms=terms)
-                + fam.psi_tangent_derivative(pts, q, i, (0, 2), terms=terms)
-            )
-            for i in range(fam.n)
-        ]
-        return w, rows
-
     def value(self, family, q, rule):
         fam = _require_stream_family(family)
-        pts = rule.nodes
-        terms = fam.terms(pts, q)
-        w = -(
-            fam.psi_derivative(pts, q, (2, 0), terms=terms)
-            + fam.psi_derivative(pts, q, (0, 2), terms=terms)
-        )
-        return float(0.5 * np.sum(rule.weights * w**2))
+        psi, _ = fam.terms(rule.nodes, q, ((2, 0), (0, 2)), ())
+        return float(0.5 * np.sum(rule.weights * (psi[2, 0] + psi[0, 2]) ** 2))
 
-    def gradient(self, family, q, rule):
-        fam = _require_stream_family(family)
-        w, rows = self._omega_and_tangents(fam, q, rule)
-        return np.array([np.sum(rule.weights * w * dw) for dw in rows])
+    def gradient(self, family, q, evaluation):
+        return evaluation.tangents @ (evaluation.rule.weights * evaluation.field)
 
 
 def euler_invariants() -> tuple[KineticEnergy, Enstrophy]:

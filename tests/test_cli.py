@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rons.cli import main
 
 
@@ -97,3 +99,33 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
         tmp_path / "tpl.json", {"experiment": "advdiff-exact", "t_end": 1.0}
     )
     assert main(["sweep", template, "nonsense", "1", "2"]) == 1
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_compare_zero_reference_or_null_metric_writes_null(tmp_path, capsys):
+    paths = []
+    for name, metrics in (
+        ("a", {"rons_angular_velocity": 0.16, "rons_speed": 0.4, "rons_peak_amp": None}),
+        ("b", {"pv_angular_velocity_core": 0.0, "pv_speed_core_circulation": 0.5,
+               "dns_peak_amp": 0.4}),
+    ):
+        path = tmp_path / name / "summary.json"
+        path.parent.mkdir()
+        path.write_text(
+            json.dumps({"experiment": "euler-pair", "series": {}, "metrics": metrics})
+        )
+        paths.append(str(path))
+    code = main(["compare", *paths, "--out", str(tmp_path / "cmp.json")])
+    assert code == 0
+    result = _strict_json((tmp_path / "cmp.json").read_text())
+    _strict_json(capsys.readouterr().out)
+    gaps = result["metric_gaps"]
+    assert gaps["rons_angular_velocity_vs_pv_angular_velocity_core"]["rel_gap"] is None
+    assert gaps["rons_speed_vs_pv_speed_core_circulation"]["rel_gap"] == pytest.approx(0.2)
+    assert gaps["rons_peak_amp_vs_dns_peak_amp"]["rel_gap"] is None

@@ -22,7 +22,8 @@ from rons.errors import (
     FitError,
     ImmersionError,
 )
-from rons.hilbert import make_rule, periodic_interval, plane, real_line
+from rons.experiments import EXPERIMENTS
+from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
     ConservedQuantity,
     advection_diffusion,
@@ -273,3 +274,23 @@ def test_fit_multi_start_can_rescue():
     result = fit_initial(fam, u0, rule, np.array([0.5, 4.0]), n_starts=5, seed=3)
     assert result.converged
     assert result.residual_norm <= 1e-6
+
+
+def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
+    # the model evaluation and both fluid-invariant gradients share one
+    # table of Gaussian derivatives
+    calls = []
+    kernel = VortexStreamFunction.terms
+
+    def counted(self, *args):
+        calls.append(1)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(VortexStreamFunction, "terms", counted)
+    q0 = np.asarray(EXPERIMENTS["euler-leapfrog"].defaults["q0"], dtype=float)
+    fam = VortexStreamFunction(4)
+    model = vorticity(0.0)
+    rule = box_rule((-2.5, -2.5), (2.5, 2.5), 40)
+    system = assemble(fam, q0, model, rule, model.conserved)
+    assert len(calls) == 1
+    assert system.constraints.gradients.shape == (16, 2)

@@ -1,10 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from rons.ansatz import GaussianWavePacket, SineWave
 from rons.errors import IntegrationAbort
+from rons.experiments import run
 from rons.hilbert import make_rule, periodic_interval, real_line
-from rons.integrate import IntegratorConfig, Trajectory, dense_eval, integrate
+from rons.integrate import (
+    IntegratorConfig,
+    Trajectory,
+    dense_eval,
+    integrate,
+    solve_fixed_rk4,
+)
 from rons.models import PdeModel, advection_diffusion, nlse
 from rons.oracles import exact_advdiff
 
@@ -176,3 +185,62 @@ def test_rhs_can_be_rule_factory(advdiff_setup):
     traj = integrate(fam, model, factory, (), [1.0, 1.0, 0.0], cfg)
     assert len(calls) > 0
     assert np.max(np.abs(traj.states[-1] - exact_params(1.0))) <= 1e-8
+
+
+def test_rk4_step_costs_four_evaluations():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.array([y[1], -np.sin(y[0]) + 0.1 * t])
+
+    y0, dt, n_steps = np.array([1.0, 0.0]), 0.125, 8
+    times, states, _ = solve_fixed_rk4(f, 0.0, y0, n_steps * dt, dt)
+    assert len(times) == n_steps + 1
+    assert len(calls) == 4 * n_steps + 1
+
+    t, y = 0.0, y0.copy()
+    for step in range(n_steps):
+        k1 = f(t, y)
+        k2 = f(t + dt / 2, y + dt / 2 * k1)
+        k3 = f(t + dt / 2, y + dt / 2 * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + dt
+        assert np.array_equal(states[step + 1], y)
+
+
+@pytest.fixture
+def assembled_states(monkeypatch):
+    """Every q the integrator assembles, as bytes, in call order."""
+    module = importlib.import_module("rons.integrate")
+    original = module.assemble
+    states = []
+
+    def recorded(family, q, *args, **kwargs):
+        states.append(np.asarray(q, dtype=float).tobytes())
+        return original(family, q, *args, **kwargs)
+
+    monkeypatch.setattr(module, "assemble", recorded)
+    return states
+
+
+def test_rk45_euler_pair_assembles_each_state_once(assembled_states, tmp_path):
+    # the pair rotates, so no two stages of a step share a state (in the
+    # translating dipole, qdot is constant and stages 6 and 7, both at
+    # c = 1, land on the same q)
+    record = run(
+        {"experiment": "euler-pair", "t_end": 1.0, "resolution": 40}, out_dir=tmp_path
+    )
+    assert record.status == "ok"
+    assert len(assembled_states) > 0
+    assert len(set(assembled_states)) == len(assembled_states)
+
+
+def test_rk4_advdiff_assembles_each_state_once(assembled_states, advdiff_setup):
+    fam, model, rule = advdiff_setup
+    cfg = IntegratorConfig(t_end=1.0, scheme="rk4", dt=0.125)
+    traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+    assert len(traj) == 9
+    assert len(assembled_states) == 4 * 8 + 1
+    assert len(set(assembled_states)) == len(assembled_states)

@@ -173,7 +173,7 @@ def test_euler_invariant_gradients_match_fd():
                 1.0 + rng.random(), 0.6 + 0.5 * rng.random(), rng.uniform(-1, 1), rng.uniform(-1, 1),
                 -1.0 - rng.random(), 0.7 + 0.5 * rng.random(), rng.uniform(-1, 1), rng.uniform(-1, 1),
             ])
-            grad = qt.gradient(fam, q, rule)
+            grad = qt.gradient(fam, q, vorticity(0.0).evaluation(fam, q, rule))
             for i in range(8):
                 h = 1e-6 * max(1.0, abs(q[i]))
                 qp, qm = q.copy(), q.copy()
@@ -257,7 +257,7 @@ def test_vorticity_field_is_negative_laplacian():
     model = vorticity(0.0)
     rule = make_rule(plane(6.0), 80)
     q = np.array([1.0, 1.0, 0.0, 0.0])
-    w = model.field(fam, q, rule)
+    w = model.evaluation(fam, q, rule).field
     r2 = np.sum(rule.nodes**2, axis=1)
     expected = (4.0 / 1.0 - 4.0 * r2) * np.exp(-r2)
     assert np.allclose(w, expected, atol=1e-12)
