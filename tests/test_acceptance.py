@@ -21,6 +21,8 @@ ansatz for this overlapping pair, so 6b is expected to fail.
 """
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from rons.engine import assemble, reduced_rhs, residual
 from rons.hilbert import make_rule, real_line
 from rons.models import nlse
 from rons.oracles import SpectralState, nlse_dns, spectral_grid
-from rons.experiments import run
+from rons.experiments import _json_sanitize, run
 
 ALL_EXPERIMENTS = [
     "advdiff-exact",
@@ -379,4 +381,51 @@ def test_criterion_9_residual_optimality():
         ok,
         f"min perturbation margin {worst_margin:.2e}, "
         f"J constrained - unconstrained = {J_con - J_free:+.2e}",
+    )
+
+
+# every metric of every default run against the committed snapshot that
+# `scripts/golden_metrics.py` writes: |new - golden| <= REL |golden| + ABS
+GOLDEN = Path(__file__).with_name("golden_metrics.json")
+GOLDEN_REL, GOLDEN_ABS = 1e-6, 1e-10
+
+
+def _golden_gaps(new, ref, name, failures, changes):
+    """Walk nested metrics; append failing names to `failures` and every
+    numeric (relative change, name) to `changes`."""
+    if isinstance(ref, dict):
+        if not isinstance(new, dict) or set(new) != set(ref):
+            failures.append(f"{name}: keys {sorted(new)} against golden {sorted(ref)}")
+            return
+        for key in ref:
+            _golden_gaps(new[key], ref[key], f"{name}.{key}", failures, changes)
+    elif isinstance(ref, list):
+        if not isinstance(new, list) or len(new) != len(ref):
+            failures.append(f"{name}: {new!r} against golden {ref!r}")
+            return
+        for k, (a, b) in enumerate(zip(new, ref)):
+            _golden_gaps(a, b, f"{name}[{k}]", failures, changes)
+    elif ref is None or new is None:
+        if new is not ref:
+            failures.append(f"{name}: {new!r} against golden {ref!r}")
+    else:
+        gap = abs(new - ref)
+        changes.append((gap / abs(ref) if ref else gap, name))
+        if gap > GOLDEN_REL * abs(ref) + GOLDEN_ABS:
+            failures.append(f"{name}: {new!r} against golden {ref!r}")
+
+
+def test_golden_metrics(records):
+    golden = json.loads(GOLDEN.read_text())
+    failures, changes = [], []
+    for name in ALL_EXPERIMENTS:
+        new = _json_sanitize(records[name].metrics)
+        _golden_gaps(new, golden[name], name, failures, changes)
+    rel, where = max(changes)
+    ok = not failures and set(golden) == set(ALL_EXPERIMENTS)
+    assert report(
+        "golden metrics",
+        ok,
+        f"largest relative change {rel:.2e} at {where}; "
+        + (f"outside the gate: {'; '.join(failures)}" if failures else "all within the gate"),
     )
