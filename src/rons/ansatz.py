@@ -9,10 +9,11 @@ suite validates every closed form against central finite differences.
 
 The Gaussian stream-function family has a single kernel,
 `VortexStreamFunction.terms`, which builds the requested derivative orders
-and parameter tangents of all vortices in one pass.  The vorticity model
-calls it once per parameter state and packs the results into the
-`ModelEvaluation` bundle that the engine, the constraint gradients and the
-integrator's recorder share.  Nothing is cached between calls.
+and parameter tangents in one pass: of all vortices at every point, or of
+one given vortex per point.  The vorticity model calls it once per
+parameter state, on the nodes of the Gaussian-product rules of its exact
+integrals (`rons.models.vortex_integrals`), and once per rule for a node
+bundle.  Nothing is cached between calls.
 
 Point batches are arrays of shape (P,) for 1D families and (P, 2) for the
 2D stream-function family.
@@ -81,10 +82,7 @@ class AnsatzFamily:
     """Common interface of all ansatz families.
 
     Subclasses must set `name` and `labels` and implement `domain_violation`,
-    `evaluate`, `tangent` and `spatial_derivative`.  Families whose conserved
-    quantities are integrated by quadrature additionally implement
-    `tangent_spatial_derivative` (the parameter derivative of a spatial
-    derivative), which the default implementation declines.
+    `evaluate`, `tangent` and `spatial_derivative`.
     """
 
     name: str = "ansatz"
@@ -137,11 +135,6 @@ class AnsatzFamily:
     def spatial_derivative(self, points, q, order) -> np.ndarray:
         """Spatial derivative; `order` is an int in 1D, an (ax, ay) pair in 2D."""
         raise NotImplementedError
-
-    def tangent_spatial_derivative(self, points, q, i: int, order) -> np.ndarray:
-        raise NotImplementedError(
-            f"{self.name} does not provide mixed parameter/space derivatives"
-        )
 
     def params(self, *values) -> ParameterVector:
         return ParameterVector(np.asarray(values, dtype=float), self.labels)
@@ -213,23 +206,6 @@ class SineWave(AnsatzFamily):
         theta = np.asarray(points) / L + phi + k * np.pi / 2
         return A * L ** (-k) * np.sin(theta)
 
-    def tangent_spatial_derivative(self, points, q, i, order):
-        A, L, phi = q
-        k = int(order)
-        x = np.asarray(points)
-        theta = x / L + phi + k * np.pi / 2
-        if i == 0:
-            return L ** (-k) * np.sin(theta)
-        if i == 1:
-            return A * (
-                -k * L ** (-k - 1) * np.sin(theta)
-                + L ** (-k) * np.cos(theta) * (-x / L**2)
-            )
-        if i == 2:
-            return A * L ** (-k) * np.cos(theta)
-        raise IndexError(i)
-
-
 class HeatKernel(AnsatzFamily):
     """u(x; A, L) = A exp(-x^2 / L^2) on the real line."""
 
@@ -265,24 +241,6 @@ class HeatKernel(AnsatzFamily):
         s = np.asarray(points) / L
         H = _hermite_table(s, k)
         return A * (-1.0) ** k * L ** (-k) * H[k] * np.exp(-(s**2))
-
-    def tangent_spatial_derivative(self, points, q, i, order):
-        A, L = q
-        k = int(order)
-        s = np.asarray(points) / L
-        H = _hermite_table(s, max(k, 1))
-        E = np.exp(-(s**2))
-        base = (-1.0) ** k * L ** (-k) * H[k] * E
-        if i == 0:
-            return base
-        if i == 1:
-            # d/dL of L^-k H_k(s) E with ds/dL = -s/L
-            bracket = (2.0 * s**2 - k) * H[k]
-            if k >= 1:
-                bracket = bracket - 2.0 * k * s * H[k - 1]
-            return A * (-1.0) ** k * L ** (-k - 1) * bracket * E
-        raise IndexError(i)
-
 
 class GaussianWavePacket(AnsatzFamily):
     """Complex wave group u = A exp(-x^2/L^2 + i x^2 V / L + i phi).
@@ -382,28 +340,26 @@ class VortexStreamFunction(AnsatzFamily):
             return f"amplitudes must be nonzero, got {A}"
         return None
 
-    def terms(self, points, q, orders, tangent_orders):
+    def terms(self, points, q, orders, tangent_orders, vortices=None):
         """Mixed spatial derivatives of psi and their parameter tangents.
 
         Returns (psi, dpsi): psi[a, b] is D^(a,b) psi, shape (P,), for each
         (a, b) in `orders`, and dpsi[a, b] is d/dq of D^(a,b) psi, shape
         (n, P), for each (a, b) in `tangent_orders`; orders are (a, b)
-        tuples.  With the scaled
+        tuples.  With `vortices`, an int array of one vortex index per
+        point, each point sees only that vortex: psi[a, b] is then
+        A_v D^(a,b) G_v at each point and dpsi[a, b] its tangent along
+        (A_v, L_v, x_v, y_v), shape (4, P).  With the scaled
         offsets sx = (x - x_i)/L_i, sy = (y - y_i)/L_i, E = exp(-sx^2 - sy^2)
         and the Hermite polynomials H_k, each Gaussian factor has
 
             D^(a,b) G_i = [(-1/L_i)^a H_a(sx)] [(-1/L_i)^b H_b(sy) E],
 
-        built here as one (orders x vortices x P) table.  Only the tables
-        that are asked for are built: a full tangent table of every order
-        would dominate the memory of a large rule.
+        built here as one (orders x vortices x P) table, or (orders x 1 x P)
+        with `vortices`.  Only the tables that are asked for are built: a
+        full tangent table of every order would dominate the memory of a
+        large rule.
         """
-        A, L, xc, yc = self.unpack(q)
-        A, L = A[:, None], L[:, None]
-        shape = (self.n_vortices, len(points))
-        sx = (points[:, 0] - xc[:, None]) / L
-        sy = (points[:, 1] - yc[:, None]) / L
-        s2 = sx**2 + sy**2
         # the tangents of D^(a,b) G need the neighbouring orders: the center
         # tangents are -D^(a+1,b) G and -D^(a,b+1) G, and with dsx/dL = -sx/L
         # and H_k' = 2k H_{k-1} the length-scale tangent is
@@ -413,17 +369,34 @@ class VortexStreamFunction(AnsatzFamily):
             needed |= {(a, b), (a + 1, b), (a, b + 1), (max(a - 1, 0), b), (a, max(b - 1, 0))}
         needed = sorted(needed)
         kmax = max(max(o) for o in needed)
+
+        A, L, xc, yc = self.unpack(q)
+        scales = [(-1.0 / L) ** k for k in range(kmax + 1)]
+
+        def per_row(v):
+            if vortices is None:      # rows: vortices, columns: points
+                return v[:, None]
+            return v[None, vortices]  # one row: each point's own vortex
+
+        A, L, xc, yc = map(per_row, (A, L, xc, yc))
+        scales = [per_row(c) for c in scales]
+        sx = (points[:, 0] - xc) / L
+        sy = (points[:, 1] - yc) / L
+        s2 = sx**2 + sy**2
         E = np.exp(-s2)
-        Dx = [(-1.0 / L) ** k * H for k, H in enumerate(_hermite_table(sx, kmax))]
-        DyE = [(-1.0 / L) ** k * H * E for k, H in enumerate(_hermite_table(sy, kmax))]
-        G = np.empty((len(needed),) + shape)
+        Dx = [c * H for c, H in zip(scales, _hermite_table(sx, kmax))]
+        DyE = [c * H * E for c, H in zip(scales, _hermite_table(sy, kmax))]
+        G = np.empty((len(needed),) + s2.shape)
         row = {}
         for k, (a, b) in enumerate(needed):
             np.multiply(Dx[a], DyE[b], out=G[k])
             row[a, b] = k
         del Dx, DyE                                        # before the tangent tables
-        psi_all = A[:, 0] @ G
-        psi = {o: psi_all[row[o]] for o in orders}
+        if vortices is None:
+            psi_all = A[:, 0] @ G
+            psi = {o: psi_all[row[o]] for o in orders}
+        else:
+            psi = {o: A[0] * G[row[o], 0] for o in orders}
 
         dpsi = {}
         for a, b in tangent_orders:
@@ -432,12 +405,12 @@ class VortexStreamFunction(AnsatzFamily):
                 d_dL += 2.0 * a * sx / L * G[row[a - 1, b]]
             if b >= 1:
                 d_dL += 2.0 * b * sy / L * G[row[a, b - 1]]
-            d = np.empty((shape[0], 4, shape[1]))          # A_i, L_i, x_i, y_i
+            d = np.empty((s2.shape[0], 4, s2.shape[1]))    # A_i, L_i, x_i, y_i
             d[:, 0] = G[row[a, b]]
             np.multiply(A / L, d_dL, out=d[:, 1])
             np.multiply(-A, G[row[a + 1, b]], out=d[:, 2])
             np.multiply(-A, G[row[a, b + 1]], out=d[:, 3])
-            dpsi[a, b] = d.reshape(self.n, -1)
+            dpsi[a, b] = d.reshape(-1, s2.shape[1])
         return psi, dpsi
 
     def evaluate(self, points, q):
@@ -452,11 +425,6 @@ class VortexStreamFunction(AnsatzFamily):
     def spatial_derivative(self, points, q, order):
         order = tuple(order)
         return self.terms(points, q, (order,), ())[0][order]
-
-    def tangent_spatial_derivative(self, points, q, i, order):
-        order = tuple(order)
-        return self.terms(points, q, (), (order,))[1][order][i]
-
 
 @dataclass(frozen=True)
 class Mode:
@@ -500,10 +468,6 @@ class LinearModes(AnsatzFamily):
         for qi, mode in zip(q[1:], self.modes[1:]):
             out = out + qi * mode.derivative(points, k)
         return out
-
-    def tangent_spatial_derivative(self, points, q, i, order):
-        return self.modes[i].derivative(points, int(order))
-
 
 def fourier_modes(length: float, count: int) -> list[Mode]:
     """Orthonormal sine/cosine modes on a periodic interval of given length.

@@ -2,8 +2,10 @@
 
 Given an ansatz family, a PDE model and a quadrature rule, `assemble` builds
 the metric tensor M_ij = <du/dq_i, du/dq_j> and the forcing
-f_i = <du/dq_i, F(u)>.  The optimal parameter velocity is qdot = M^-1 f;
-with conserved quantities I_k enforced it becomes
+f_i = <du/dq_i, F(u)> from the model's projection (`PdeModel.projection`):
+weighted sums over the rule's nodes by default, exact whole-plane integrals
+for the vorticity model, which ignores the rule.  The optimal parameter
+velocity is qdot = M^-1 f; with conserved quantities I_k enforced it becomes
 
     qdot = M^-1 (f - sum_k lambda_k grad I_k),    C lambda = b,
 
@@ -25,7 +27,7 @@ from scipy.linalg import cho_solve
 from .ansatz import AnsatzFamily
 from .errors import DependentConstraintsError, FitError, ImmersionError
 from .hilbert import QuadratureRule, field_values
-from .models import ModelEvaluation, PdeModel
+from .models import ModelEvaluation, PdeModel, Projection
 
 __all__ = [
     "MetricTensor",
@@ -111,22 +113,22 @@ class ConstraintBlock:
 
 @dataclass(frozen=True, eq=False)
 class ReducedSystem:
-    """Assembled reduced equations at one parameter vector."""
+    """Assembled reduced equations at one parameter vector.
+
+    `invariants` maps each enforced or tracked quantity to its value at q.
+    """
 
     q: np.ndarray
     M: MetricTensor
     f: np.ndarray
     constraints: ConstraintBlock | None
-    evaluation: ModelEvaluation = field(repr=False)
+    projection: Projection = field(repr=False)
+    invariants: dict = field(repr=False)
     jittered: bool = False
 
     @property
     def n(self) -> int:
         return len(self.q)
-
-    @property
-    def rule(self) -> QuadratureRule:
-        return self.evaluation.rule
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ class ResidualReport:
 
     J is 1/2 || sum_i (du/dq_i) qdot_i - F(u) ||^2 and J_raw is the qdot = 0
     value 1/2 ||F(u)||^2; the optimal qdot always satisfies J <= J_raw.
+    On a rule's nodes J is the norm of the mismatch field itself; from exact
+    integrals it is 1/2 (qdot.M.qdot - 2 qdot.f + ||F||^2).
     """
 
     J: float
@@ -147,28 +151,29 @@ def assemble(
     family: AnsatzFamily,
     q,
     model: PdeModel,
-    rule: QuadratureRule,
+    rule: QuadratureRule | None,
     quantities=(),
     *,
+    tracked=(),
     jitter: float = 0.0,
 ) -> ReducedSystem:
     """Build M, f and (optionally) the constraint block at q.
 
     `quantities` is a sequence of ConservedQuantity objects whose gradients
     must be linearly independent; dependence is detected by the Cholesky
-    factorization of C.  Their gradients read the same model evaluation as
-    M and f, so the state is evaluated once.  `jitter` adds
-    jitter * trace(M)/n to the diagonal of M; it is off by default because a
-    near-singular M should abort loudly rather than being silently
-    regularized.
+    factorization of C.  Their gradients come from the same model
+    projection as M and f, so the state is evaluated once, and so do the
+    values in `invariants` of them and of the `tracked` quantities, which
+    are recorded but not enforced.  `jitter` adds jitter * trace(M)/n to
+    the diagonal of M; it is off by default because a near-singular M
+    should abort loudly rather than being silently regularized.
     """
     qv = family.require_valid(q)
-    ev = model.evaluation(family, qv, rule)
+    quantities = tuple(quantities)
+    recorded = quantities + tuple(qt for qt in tracked if qt not in quantities)
+    proj = model.projection(family, qv, rule, recorded)
 
-    w = rule.weights
-    T = ev.tangents
-    gram = np.real((T * w) @ T.conj().T)
-    M_entries = _symmetrize(gram, "metric tensor")
+    M_entries = _symmetrize(proj.M, "metric tensor")
     if jitter > 0.0:
         M_entries = M_entries + (jitter * np.trace(M_entries) / len(M_entries)) * np.eye(
             len(M_entries)
@@ -176,14 +181,11 @@ def assemble(
         warnings.warn(f"metric tensor jittered by {jitter:.1e} (exploratory mode)")
     chol = _cholesky(M_entries, ImmersionError, "metric tensor")
     M = MetricTensor(M_entries, chol)
-
-    f = np.real((T * w) @ np.conj(ev.F))
+    f = proj.f
 
     block = None
     if quantities:
-        B = np.column_stack(
-            [np.asarray(qt.gradient(family, qv, ev), dtype=float) for qt in quantities]
-        )
+        B = proj.B[:, : len(quantities)]
         Minv_B = M.solve(B)
         C = _symmetrize(B.T @ Minv_B, "constraint matrix")
         chol_C = _cholesky(C, DependentConstraintsError, "constraint matrix")
@@ -196,7 +198,8 @@ def assemble(
         M=M,
         f=f,
         constraints=block,
-        evaluation=ev,
+        projection=proj,
+        invariants=dict(zip(recorded, map(float, proj.values))),
         jittered=jitter > 0.0,
     )
 
@@ -225,13 +228,17 @@ def constraint_tangency(system: ReducedSystem, qdot: np.ndarray) -> np.ndarray:
 
 
 def residual(system: ReducedSystem, qdot) -> ResidualReport:
-    """Instantaneous error of a given qdot, evaluated in field space."""
+    """Instantaneous error of a given qdot."""
     qdot = np.asarray(qdot, dtype=float)
-    ev = system.evaluation
-    w = system.rule.weights
-    mismatch = ev.tangents.T @ qdot.astype(ev.tangents.dtype) - ev.F
-    J = 0.5 * float(np.sum(w * np.abs(mismatch) ** 2))
-    J_raw = 0.5 * float(np.sum(w * np.abs(ev.F) ** 2))
+    proj = system.projection
+    J_raw = 0.5 * proj.F_norm_sq
+    ev = proj.evaluation
+    if isinstance(ev, ModelEvaluation):
+        # the mismatch field on the nodes: no cancellation when J << J_raw
+        mismatch = ev.tangents.T @ qdot.astype(ev.tangents.dtype) - ev.F
+        J = 0.5 * float(np.sum(ev.rule.weights * np.abs(mismatch) ** 2))
+    else:
+        J = 0.5 * float(qdot @ proj.M @ qdot) - float(qdot @ proj.f) + J_raw
     cond_C = (
         system.constraints.condition_estimate if system.constraints is not None else np.nan
     )

@@ -8,7 +8,10 @@ so real and complex fields share one code path and every Gram matrix built
 from them is real symmetric.  Periodic domains use the equispaced trapezoid
 rule (spectrally accurate there); unbounded domains are truncated to a box
 and integrated with Gauss-Legendre nodes, relying on the Gaussian decay of
-every ansatz in the catalog.
+every ansatz in the catalog.  The vortex model's reduced equations do not
+use these rules: they are exact Gauss-Hermite integrals over the whole
+plane (`rons.models.vortex_integrals`); its windows (`box_rule`) serve
+field snapshots, the t = 0 core-centroid oracle and quadrature references.
 """
 
 from __future__ import annotations
@@ -116,9 +119,8 @@ class FieldSample:
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # reference Gauss-Legendre nodes/weights on [-1, 1]; cached because the
-    # moving-window rules for vortex runs remap the same reference rule at
-    # every right-hand-side evaluation
+    # reference Gauss-Legendre nodes/weights on [-1, 1]; cached because
+    # vortex windows remap the same reference rule at every snapshot
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
@@ -167,9 +169,8 @@ def make_rule(domain: Domain, resolution) -> QuadratureRule:
 def box_rule(lo, hi, resolution) -> QuadratureRule:
     """Gauss-Legendre tensor rule on an arbitrary 2D box [lo, hi].
 
-    Used by moving-window quadrature for vortex configurations that
-    translate far from the origin; the box is re-centered around the current
-    vortex positions while the node count stays fixed.
+    Used for windows around the current vortex positions, which may have
+    translated far from the origin, at a fixed node count.
     """
     if np.isscalar(resolution):
         resolution = (int(resolution), int(resolution))

@@ -212,10 +212,16 @@ def solve_adaptive_rk45(
                 )
             k = np.empty((n_stages, y.size))
             k[0] = k0
+            ys = y
             try:
                 for s in range(1, n_stages):
-                    ys = y + h * (_DP_A[s] @ k[:s])
-                    k[s] = f(t + _DP_C[s] * h, ys)
+                    prev, ys = ys, y + h * (_DP_A[s] @ k[:s])
+                    if _DP_C[s] == _DP_C[s - 1] and np.array_equal(ys, prev):
+                        # stages 6 and 7 both sit at c = 1: when qdot is
+                        # constant over the step they land on the same state
+                        k[s] = k[s - 1]
+                    else:
+                        k[s] = f(t + _DP_C[s] * h, ys)
             except _StageRejected:
                 domain_retries += 1
                 if domain_retries > max_domain_retries:
@@ -279,7 +285,7 @@ def solve_fixed_rk4(f, t0, y0, t_end, dt, *, step_callback=None):
 def integrate(
     family: AnsatzFamily,
     model: PdeModel,
-    rule,
+    rule: QuadratureRule | None,
     quantities,
     q0,
     config: IntegratorConfig,
@@ -288,13 +294,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate qdot = M^-1 [f - sum lambda_k grad I_k] from q0 to t_end.
 
-    `rule` may be a QuadratureRule or a callable q -> QuadratureRule (a
-    moving quadrature window for configurations that translate).
+    `rule` is the quadrature rule of the model's projection; the vorticity
+    model integrates exactly and ignores it, so it may be None there.
     `quantities` are enforced as constraints; `track_quantities` (default:
-    the model's conserved set) are additionally evaluated per recorded step
-    for drift diagnostics.
+    the model's conserved set) are recorded per step for drift diagnostics,
+    with their values taken from the same projection.
     """
-    rule_of = rule if callable(rule) else (lambda _q: rule)
     quantities = tuple(quantities)
     if track_quantities is None:
         track_quantities = tuple(model.conserved)
@@ -308,7 +313,9 @@ def integrate(
         if not family.domain_check(y):
             raise _StageRejected
         recorder.system = None  # release the previous state's tables first
-        recorder.system = assemble(family, y, model, rule_of(y), quantities)
+        recorder.system = assemble(
+            family, y, model, rule, quantities, tracked=track_quantities
+        )
         return reduced_rhs(recorder.system)
 
     try:
@@ -391,9 +398,7 @@ class _Recorder:
         self.cond_M.append(rep.condition_M)
         self.cond_C.append(rep.condition_C)
         if self.track:
-            self.invariants.append(
-                [qt.value(self.family, y, system.rule) for qt in self.track]
-            )
+            self.invariants.append([system.invariants[qt] for qt in self.track])
         if self.quantities:
             self.tangency.append(np.abs(constraint_tangency(system, qdot)))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rons.ansatz import (
     GaussianWavePacket,
@@ -15,6 +17,7 @@ from rons.models import (
     euler_invariants,
     nlse,
     nlse_invariants,
+    vortex_integrals,
     vorticity,
 )
 
@@ -173,7 +176,7 @@ def test_euler_invariant_gradients_match_fd():
                 1.0 + rng.random(), 0.6 + 0.5 * rng.random(), rng.uniform(-1, 1), rng.uniform(-1, 1),
                 -1.0 - rng.random(), 0.7 + 0.5 * rng.random(), rng.uniform(-1, 1), rng.uniform(-1, 1),
             ])
-            grad = qt.gradient(fam, q, vorticity(0.0).evaluation(fam, q, rule))
+            grad = vorticity(0.0).projection(fam, q, rule, (qt,)).B[:, 0]
             for i in range(8):
                 h = 1e-6 * max(1.0, abs(q[i]))
                 qp, qm = q.copy(), q.copy()
@@ -294,3 +297,76 @@ def test_viscous_vorticity_adds_laplacian_term():
         pm[:, ax] -= h
         lap += (omega_at(pp) - 2 * omega_at(pts) + omega_at(pm)) / h**2
     assert np.allclose(F_visc, nu * lap, atol=1e-5)
+
+
+# -- exact Gaussian-product integrals against quadrature --------------------
+
+
+def _vortex_state(draw, n_vortices):
+    q = []
+    for _ in range(n_vortices):
+        q += [
+            draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.5)),
+            draw(st.floats(0.5, 1.0)),
+            draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(-1.0, 1.0)),
+        ]
+    return np.array(q)
+
+
+@st.composite
+def vortex_cases(draw):
+    """Vortex states with distinct centres: vortices sharing a centre are
+    one axisymmetric flow, whose f and F vanish, so every relative gap
+    would compare rounding noise."""
+    n_vortices = draw(st.sampled_from([2, 4]))
+    nu = draw(st.sampled_from([0.0, 0.05]))
+    fam = VortexStreamFunction(n_vortices)
+    q = _vortex_state(draw, n_vortices)
+    gaps = np.linalg.norm(fam.centers(q)[:, None] - fam.centers(q)[None], axis=-1)
+    assume(np.min(gaps + np.eye(n_vortices)) >= 0.25)
+    return fam, q, nu
+
+
+def _quadrature_reference(fam, q, nu):
+    """M, f, ||F||^2, E, Z and their gradients by Gauss-Legendre quadrature
+    on a 256^2 window padded by 9 length scales."""
+    centers, L = fam.centers(q), np.max(fam.length_scales(q))
+    rule = box_rule(centers.min(axis=0) - 9 * L, centers.max(axis=0) + 9 * L, 256)
+    w = rule.weights
+    ev = vorticity(nu).evaluation(fam, q, rule)
+    psi, dpsi = fam.terms(rule.nodes, q, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+    Tw = ev.tangents * w
+    return {
+        "M": Tw @ ev.tangents.T,
+        "f": Tw @ ev.F,
+        "F_norm_sq": np.sum(w * ev.F**2),
+        "energy": 0.5 * np.sum(w * (psi[1, 0] ** 2 + psi[0, 1] ** 2)),
+        "enstrophy": 0.5 * np.sum(w * ev.field**2),
+        "energy_gradient": dpsi[1, 0] @ (w * psi[1, 0]) + dpsi[0, 1] @ (w * psi[0, 1]),
+        "enstrophy_gradient": Tw @ ev.field,
+    }
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(vortex_cases())
+def test_vortex_integrals_match_quadrature(case):
+    fam, q, nu = case
+    exact = vortex_integrals(fam, q, nu)
+    for name, ref in _quadrature_reference(fam, q, nu).items():
+        assert _rel_gap(getattr(exact, name), ref) <= 1e-12, name
+
+
+@settings(max_examples=12, deadline=None)
+@given(vortex_cases())
+def test_vortex_integrals_node_count_converged(case):
+    # 6 Gauss-Hermite nodes per axis already integrate every product exactly
+    fam, q, nu = case
+    six, ten = vortex_integrals(fam, q, nu), vortex_integrals(fam, q, nu, nodes=10)
+    for name in ("M", "f", "F_norm_sq", "energy", "enstrophy",
+                 "energy_gradient", "enstrophy_gradient"):
+        assert _rel_gap(getattr(six, name), getattr(ten, name)) <= 1e-13, name
