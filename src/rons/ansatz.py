@@ -10,10 +10,11 @@ suite validates every closed form against central finite differences.
 The Gaussian stream-function family has a single kernel,
 `VortexStreamFunction.terms`, which builds the requested derivative orders
 and parameter tangents in one pass: of all vortices at every point, or of
-one given vortex per point.  The vorticity model calls it once per
-parameter state, on the nodes of the Gaussian-product rules of its exact
-integrals (`rons.models.vortex_integrals`), and once per rule for a node
-bundle.  Nothing is cached between calls.
+one given vortex per point, with the tangents optionally only at the
+leading points.  The vorticity model calls it once per parameter state: on
+the nodes of the Gaussian-product rules of its exact integrals
+(`rons.models.vortex_integrals`), or on a rule's nodes for a node bundle.
+Nothing is cached between calls.
 
 Point batches are arrays of shape (P,) for 1D families and (P, 2) for the
 2D stream-function family.
@@ -340,7 +341,7 @@ class VortexStreamFunction(AnsatzFamily):
             return f"amplitudes must be nonzero, got {A}"
         return None
 
-    def terms(self, points, q, orders, tangent_orders, vortices=None):
+    def terms(self, points, q, orders, tangent_orders, vortices=None, tangent_points=None):
         """Mixed spatial derivatives of psi and their parameter tangents.
 
         Returns (psi, dpsi): psi[a, b] is D^(a,b) psi, shape (P,), for each
@@ -358,7 +359,8 @@ class VortexStreamFunction(AnsatzFamily):
         built here as one (orders x vortices x P) table, or (orders x 1 x P)
         with `vortices`.  Only the tables that are asked for are built: a
         full tangent table of every order would dominate the memory of a
-        large rule.
+        large rule.  With `tangent_points`, the tangent tables cover only
+        the first that many points.
         """
         # the tangents of D^(a,b) G need the neighbouring orders: the center
         # tangents are -D^(a+1,b) G and -D^(a,b+1) G, and with dsx/dL = -sx/L
@@ -399,6 +401,9 @@ class VortexStreamFunction(AnsatzFamily):
             psi = {o: A[0] * G[row[o], 0] for o in orders}
 
         dpsi = {}
+        if tangent_points is not None:
+            A, L, sx, sy, s2 = (v[..., :tangent_points] for v in (A, L, sx, sy, s2))
+            G = G[..., :tangent_points]
         for a, b in tangent_orders:
             d_dL = (2.0 * s2 - (a + b)) * G[row[a, b]]
             if a >= 1:

@@ -3,9 +3,10 @@
 Given an ansatz family, a PDE model and a quadrature rule, `assemble` builds
 the metric tensor M_ij = <du/dq_i, du/dq_j> and the forcing
 f_i = <du/dq_i, F(u)> from the model's projection (`PdeModel.projection`):
-weighted sums over the rule's nodes by default, exact whole-plane integrals
-for the vorticity model, which ignores the rule.  The optimal parameter
-velocity is qdot = M^-1 f; with conserved quantities I_k enforced it becomes
+weighted sums over the rule's nodes by default, or exact whole-plane
+integrals for the vorticity model built with `exact=True`, which ignores
+the rule.  The optimal parameter velocity is qdot = M^-1 f; with conserved
+quantities I_k enforced it becomes
 
     qdot = M^-1 (f - sum_k lambda_k grad I_k),    C lambda = b,
 
@@ -113,17 +114,14 @@ class ConstraintBlock:
 
 @dataclass(frozen=True, eq=False)
 class ReducedSystem:
-    """Assembled reduced equations at one parameter vector.
-
-    `invariants` maps each enforced or tracked quantity to its value at q.
-    """
+    """Assembled reduced equations at one parameter vector, with the model
+    projection they were built from."""
 
     q: np.ndarray
     M: MetricTensor
     f: np.ndarray
     constraints: ConstraintBlock | None
     projection: Projection = field(repr=False)
-    invariants: dict = field(repr=False)
     jittered: bool = False
 
     @property
@@ -154,7 +152,6 @@ def assemble(
     rule: QuadratureRule | None,
     quantities=(),
     *,
-    tracked=(),
     jitter: float = 0.0,
 ) -> ReducedSystem:
     """Build M, f and (optionally) the constraint block at q.
@@ -162,16 +159,14 @@ def assemble(
     `quantities` is a sequence of ConservedQuantity objects whose gradients
     must be linearly independent; dependence is detected by the Cholesky
     factorization of C.  Their gradients come from the same model
-    projection as M and f, so the state is evaluated once, and so do the
-    values in `invariants` of them and of the `tracked` quantities, which
-    are recorded but not enforced.  `jitter` adds jitter * trace(M)/n to
-    the diagonal of M; it is off by default because a near-singular M
-    should abort loudly rather than being silently regularized.
+    projection as M and f, so the state is evaluated once.  `jitter` adds
+    jitter * trace(M)/n to the diagonal of M; it is off by default because
+    a near-singular M should abort loudly rather than being silently
+    regularized.
     """
     qv = family.require_valid(q)
     quantities = tuple(quantities)
-    recorded = quantities + tuple(qt for qt in tracked if qt not in quantities)
-    proj = model.projection(family, qv, rule, recorded)
+    proj = model.projection(family, qv, rule, quantities)
 
     M_entries = _symmetrize(proj.M, "metric tensor")
     if jitter > 0.0:
@@ -185,7 +180,7 @@ def assemble(
 
     block = None
     if quantities:
-        B = proj.B[:, : len(quantities)]
+        B = proj.B
         Minv_B = M.solve(B)
         C = _symmetrize(B.T @ Minv_B, "constraint matrix")
         chol_C = _cholesky(C, DependentConstraintsError, "constraint matrix")
@@ -199,7 +194,6 @@ def assemble(
         f=f,
         constraints=block,
         projection=proj,
-        invariants=dict(zip(recorded, map(float, proj.values))),
         jittered=jitter > 0.0,
     )
 

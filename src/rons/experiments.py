@@ -353,11 +353,11 @@ def _rel_gap(value, ref, scale=None):
 
 def _run_euler(config, out_dir, files, series, n_vortices):
     family = VortexStreamFunction(n_vortices)
-    model = vorticity(config["nu"])
+    model = vorticity(config["nu"], exact=True)
     quantities = model.conserved if config["constrained"] else ()
     q0 = np.asarray(config["q0"], dtype=float)
-    # the window around q0; the vorticity model's projection is exact and
-    # ignores the rule it is handed
+    # the window around q0; the exact projection of the solve ignores the
+    # rule it is handed
     rule0 = _window_rule(family, q0, config["window_pad"], config["resolution"])
     traj = integrate(family, model, rule0, quantities, q0, _integrator_config(config))
 

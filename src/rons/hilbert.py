@@ -8,10 +8,11 @@ so real and complex fields share one code path and every Gram matrix built
 from them is real symmetric.  Periodic domains use the equispaced trapezoid
 rule (spectrally accurate there); unbounded domains are truncated to a box
 and integrated with Gauss-Legendre nodes, relying on the Gaussian decay of
-every ansatz in the catalog.  The vortex model's reduced equations do not
-use these rules: they are exact Gauss-Hermite integrals over the whole
-plane (`rons.models.vortex_integrals`); its windows (`box_rule`) serve
-field snapshots, the t = 0 core-centroid oracle and quadrature references.
+every ansatz in the catalog.  The vortex experiments solve their reduced
+equations without these rules, by exact Gauss-Hermite integrals over the
+whole plane (`rons.models.vortex_integrals`); their windows (`box_rule`)
+serve field snapshots, the t = 0 core-centroid oracle and the quadrature
+projection of the vorticity model.
 """
 
 from __future__ import annotations

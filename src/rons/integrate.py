@@ -294,11 +294,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate qdot = M^-1 [f - sum lambda_k grad I_k] from q0 to t_end.
 
-    `rule` is the quadrature rule of the model's projection; the vorticity
-    model integrates exactly and ignores it, so it may be None there.
+    `rule` is the quadrature rule of the model's projection; the exact
+    vorticity projection ignores it, so it may be None there.
     `quantities` are enforced as constraints; `track_quantities` (default:
     the model's conserved set) are recorded per step for drift diagnostics,
-    with their values taken from the same projection.
+    with their values read from the same projection (`value_at`).
     """
     quantities = tuple(quantities)
     if track_quantities is None:
@@ -313,9 +313,7 @@ def integrate(
         if not family.domain_check(y):
             raise _StageRejected
         recorder.system = None  # release the previous state's tables first
-        recorder.system = assemble(
-            family, y, model, rule, quantities, tracked=track_quantities
-        )
+        recorder.system = assemble(family, y, model, rule, quantities)
         return reduced_rhs(recorder.system)
 
     try:
@@ -398,7 +396,8 @@ class _Recorder:
         self.cond_M.append(rep.condition_M)
         self.cond_C.append(rep.condition_C)
         if self.track:
-            self.invariants.append([system.invariants[qt] for qt in self.track])
+            ev = system.projection.evaluation
+            self.invariants.append([qt.value_at(self.family, y, ev) for qt in self.track])
         if self.quantities:
             self.tangency.append(np.abs(constraint_tangency(system, qdot)))
 

@@ -8,22 +8,23 @@ both the field and its parameter tangents derived from psi.
 
 `PdeModel.projection` is the one pass per parameter state: it returns the
 metric tensor M_ij = <T_i, T_j>, the forcing f_i = <T_i, F>, the gradients
-and values of the conserved quantities and ||F||^2, which the engine, the
-constraint solve and the integrator's recorder all share.  By default it
-contracts the node bundle of `PdeModel.evaluation` with the weights of the
-quadrature rule.  The vorticity model instead integrates exactly over the
+of the conserved quantities and ||F||^2, and the bundle they were read
+from, which the engine, the constraint solve and the integrator's recorder
+all share.  By default it contracts the node bundle of
+`PdeModel.evaluation` with the weights of the quadrature rule it is given.
+The vorticity model built with `exact=True` instead integrates over the
 whole plane and ignores the rule: every integrand is a polynomial times a
 product of Gaussians, which is one Gaussian, and a Gauss-Hermite rule
 centred on that product integrates it exactly (`vortex_integrals`).  Its
 `evaluation` on a rule remains the node bundle for field snapshots, the
-t = 0 core-centroid oracle and the quadrature reference in the tests.
+t = 0 core-centroid oracle and the quadrature projection.
 
 Conserved quantities expose a value and a gradient in parameter space.  The
 wave-packet mass and energy use closed-form Gaussian moments (cross-checked
-against quadrature in the tests); the fluid invariants are exact sums over
-vortex pairs.  Gradients, and the values the recorder reads, come from the
-bundle of the projection; `value` alone is an independent computation from
-the family.
+against quadrature in the tests).  The fluid invariants are quadrature sums
+on a rule, or exact sums over vortex pairs without one.  Gradients, and the
+values the recorder reads (`value_at`), come from the bundle of the
+projection; `value` alone is an independent computation from the family.
 """
 
 from __future__ import annotations
@@ -56,44 +57,48 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ModelEvaluation:
-    """The evolved field, its parameter tangents and F(u) on one rule's nodes.
+    """Everything one parameter state contributes, on one rule's nodes.
 
-    The default projection contracts these with the rule's weights, and
-    `engine.residual` reuses them for the instantaneous error.
+    The default projection contracts `tangents` and `F` with the rule's
+    weights, and `engine.residual` reuses them for the instantaneous error.
+    `ConservedQuantity.gradient` reads the bundle instead of evaluating the
+    family again: stream-function models also fill in psi_x, psi_y (the
+    velocity is (psi_y, -psi_x)) and their parameter tangents for the
+    kinetic energy.
     """
 
     field: np.ndarray        # (P,)
     tangents: np.ndarray     # (n, P)
     F: np.ndarray            # (P,)
     rule: QuadratureRule
+    psi_x: np.ndarray | None = None            # (P,)
+    psi_y: np.ndarray | None = None            # (P,)
+    psi_x_tangents: np.ndarray | None = None   # (n, P)
+    psi_y_tangents: np.ndarray | None = None   # (n, P)
 
 
 @dataclass(frozen=True, eq=False)
 class Projection:
     """The inner products of one parameter state.
 
-    B and values hold one column and one entry per quantity passed to
-    `PdeModel.projection`, in order; `evaluation` is the bundle those
-    quantities read: a ModelEvaluation, or VortexIntegrals for the
-    vorticity model.
+    B holds one column per quantity passed to `PdeModel.projection`, in
+    order; `evaluation` is the bundle the quantities read: a
+    ModelEvaluation, or VortexIntegrals for the exact vorticity projection.
     """
 
     M: np.ndarray            # (n, n)  <T_i, T_j>
     f: np.ndarray            # (n,)    <T_i, F>
     B: np.ndarray            # (n, m)  grad I_k
-    values: np.ndarray       # (m,)    I_k
     F_norm_sq: float         # ||F||^2
     evaluation: object
 
 
 def _project(family, q, evaluation, quantities, M, f, F_norm_sq) -> Projection:
-    """The Projection with the quantities' gradients and values read from
-    `evaluation`."""
+    """The Projection with the quantities' gradients read from `evaluation`."""
     B = np.zeros((len(q), len(quantities)))
     for k, qt in enumerate(quantities):
         B[:, k] = qt.gradient(family, q, evaluation)
-    values = np.array([qt.value_at(family, q, evaluation) for qt in quantities])
-    return Projection(M, f, B, values, F_norm_sq, evaluation)
+    return Projection(M, f, B, F_norm_sq, evaluation)
 
 
 class PdeModel:
@@ -115,8 +120,8 @@ class PdeModel:
     def projection(
         self, family: AnsatzFamily, q, rule: QuadratureRule, quantities=()
     ) -> Projection:
-        """M, f, the quantities' gradients and values, and ||F||^2 at q, by
-        the weighted sums of the rule over the nodes of `evaluation`."""
+        """M, f, the quantities' gradients and ||F||^2 at q, by the weighted
+        sums of the rule over the nodes of `evaluation`."""
         ev = self.evaluation(family, q, rule)
         w = rule.weights
         Tw = ev.tangents * w
@@ -139,9 +144,10 @@ class ConservedQuantity:
 
     `value` is an independent computation; it takes the quadrature rule so
     that a quantity evaluated by quadrature can use the nodes of the
-    reduced system it constrains (closed and exact forms ignore it).
-    `gradient` and `value_at` read the bundle of the model's projection at
-    q (closed forms ignore it).
+    reduced system it constrains (closed forms ignore it, and None asks for
+    the whole-domain value where a quantity has one).  `gradient` and
+    `value_at` read the bundle of the model's projection at q (closed forms
+    ignore it).
     """
 
     name: str = "invariant"
@@ -154,7 +160,7 @@ class ConservedQuantity:
 
     def value_at(self, family: AnsatzFamily, q, evaluation) -> float:
         """The value at the state of the bundle; by default `value` on the
-        bundle's rule."""
+        bundle's rule (None for the whole-plane VortexIntegrals)."""
         return self.value(family, q, evaluation.rule)
 
 
@@ -273,8 +279,7 @@ def _require_stream_family(family) -> VortexStreamFunction:
 # w = -lap psi and grad w; the viscous term adds lap w
 _INVISCID_ORDERS = ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 _VISCOUS_ORDERS = ((4, 0), (2, 2), (0, 4))
-# orders whose parameter tangents are needed: those of w, and of u for the
-# kinetic-energy gradient
+# orders whose parameter tangents are needed: those of w and of u
 _W_TANGENT_ORDERS = ((2, 0), (0, 2))
 _U_TANGENT_ORDERS = ((1, 0), (0, 1))
 
@@ -317,6 +322,8 @@ def _product_rules(L, centers, members, z, wz):
 @dataclass(frozen=True, eq=False)
 class VortexIntegrals:
     """Exact whole-plane inner products of one vortex state."""
+
+    rule = None                      # whole plane: no quadrature rule
 
     M: np.ndarray                    # (n, n) <T_i, T_j> of the vorticity tangents
     f: np.ndarray                    # (n,)   <T_i, F>
@@ -366,13 +373,17 @@ def vortex_integrals(
         owners.append(np.repeat(members.T, K, axis=1).ravel())
         weights.append(w)
     orders = _INVISCID_ORDERS + (_VISCOUS_ORDERS if nu > 0 else ())
+    # tangents are read only on both slots of the pairs and the first slot
+    # of the triples, which are the leading sites
+    n_pair_sites, n_triples = pairs.size * K, len(triples)
     psi, dpsi = family.terms(
         np.concatenate(points), q, orders, _W_TANGENT_ORDERS + _U_TANGENT_ORDERS,
-        np.concatenate(owners),
+        np.concatenate(owners), n_pair_sites + n_triples * K,
     )
 
-    # per-site fields and tangents, each cut into the three groups with
-    # shape (..., slot, product, node)
+    # per-site fields, each cut into the three groups with shape
+    # (slot, product, node), and tangents cut into (4, slot, product, node)
+    # on the pairs and (4, product, node) on the first slot of the triples
     bounds = np.cumsum([0] + [m.size * K for m in groups])
 
     def cut(table):
@@ -385,8 +396,15 @@ def vortex_integrals(
     vort = cut(-(psi[2, 0] + psi[0, 2]))
     wx = cut(-(psi[3, 0] + psi[1, 2]))
     wy = cut(-(psi[2, 1] + psi[0, 3]))
-    T = cut(-(dpsi[2, 0] + dpsi[0, 2]))
-    Tpx, Tpy = cut(dpsi[1, 0]), cut(dpsi[0, 1])
+
+    def cut_tangents(table):
+        return (
+            table[:, :n_pair_sites].reshape(4, 2, len(pairs), K),
+            table[:, n_pair_sites:].reshape(4, n_triples, K),
+        )
+
+    T = cut_tangents(-(dpsi[2, 0] + dpsi[0, 2]))
+    Tpx, Tpy = cut_tangents(dpsi[1, 0]), cut_tangents(dpsi[0, 1])
 
     def advect(g, j, k):
         """u_j . grad w_k + u_k . grad w_j on the slots j, k of group g."""
@@ -413,7 +431,7 @@ def vortex_integrals(
 
     # triples: slot 0 is i, slots 1 and 2 the link j < k
     s3 = advect(1, 1, 2)
-    f = -per_vortex(T[1][:, 0], w3 * s3)
+    f = -per_vortex(T[1], w3 * s3)
     # pairs of links: slots 0, 1 and 2, 3; off-diagonal pairs count twice
     twice = np.where(a == b, 1.0, 2.0)[:, None]
     F_norm_sq = float(np.sum(twice * w4 * advect(2, 0, 1) * advect(2, 2, 3)))
@@ -436,10 +454,16 @@ def vortex_integrals(
 
 
 class Vorticity(PdeModel):
-    def __init__(self, nu: float):
+    """w_t + u . grad w = nu lap w.  With `exact`, the projection integrates
+    over the whole plane (`vortex_integrals`) and ignores the rule it is
+    handed; otherwise it is the Galerkin projection on that rule, like every
+    model's."""
+
+    def __init__(self, nu: float, exact: bool = False):
         if nu < 0:
             raise ValueError(f"viscosity nu = {nu} must be >= 0")
         self.nu = float(nu)
+        self.exact = bool(exact)
         self.name = "vorticity"
         self.conserved = euler_invariants()
 
@@ -449,7 +473,7 @@ class Vorticity(PdeModel):
     def evaluation(self, family, q, rule):
         fam = _require_stream_family(family)
         orders = _INVISCID_ORDERS + (_VISCOUS_ORDERS if self.nu > 0 else ())
-        psi, dpsi = fam.terms(rule.nodes, q, orders, _W_TANGENT_ORDERS)
+        psi, dpsi = fam.terms(rule.nodes, q, orders, _W_TANGENT_ORDERS + _U_TANGENT_ORDERS)
         w = -(psi[2, 0] + psi[0, 2])
         ux, uy = psi[0, 1], -psi[1, 0]
         wx = -(psi[3, 0] + psi[1, 2])
@@ -460,49 +484,79 @@ class Vorticity(PdeModel):
             F = F + self.nu * lap_w
         tangents = -dpsi[2, 0]     # in place: one (n, P) table fewer at the peak
         tangents -= dpsi[0, 2]
-        return ModelEvaluation(field=w, tangents=tangents, F=F, rule=rule)
+        return ModelEvaluation(
+            field=w,
+            tangents=tangents,
+            F=F,
+            rule=rule,
+            psi_x=psi[1, 0],
+            psi_y=psi[0, 1],
+            psi_x_tangents=dpsi[1, 0],
+            psi_y_tangents=dpsi[0, 1],
+        )
 
     def projection(self, family, q, rule=None, quantities=()):
-        """Exact whole-plane integrals; the rule is not used.  The
-        quantities read the VortexIntegrals bundle."""
+        if not self.exact:
+            return super().projection(family, q, rule, quantities)
         ints = vortex_integrals(_require_stream_family(family), q, self.nu)
         return _project(family, q, ints, quantities, ints.M, ints.f, ints.F_norm_sq)
 
 
-def vorticity(nu: float) -> Vorticity:
-    return Vorticity(nu)
+def vorticity(nu: float, exact: bool = False) -> Vorticity:
+    return Vorticity(nu, exact)
 
 
 class KineticEnergy(ConservedQuantity):
-    """I1 = 1/2 integral |u|^2 dA with u = (psi_y, -psi_x), exact over the
-    plane as a sum over vortex pairs."""
+    """I1 = 1/2 integral |u|^2 dA with u = (psi_y, -psi_x): by quadrature on
+    a rule, or exactly over the plane as a sum over vortex pairs."""
 
     name = "kinetic-energy"
 
     def value(self, family, q, rule=None):
-        return vortex_integrals(_require_stream_family(family), q, 0.0).energy
+        fam = _require_stream_family(family)
+        if rule is None:
+            return vortex_integrals(fam, q, 0.0).energy
+        psi, _ = fam.terms(rule.nodes, q, ((1, 0), (0, 1)), ())
+        return float(0.5 * np.sum(rule.weights * (psi[1, 0] ** 2 + psi[0, 1] ** 2)))
 
     def value_at(self, family, q, evaluation):
-        return evaluation.energy
+        ev = evaluation
+        if isinstance(ev, VortexIntegrals):
+            return ev.energy
+        return float(0.5 * np.sum(ev.rule.weights * (ev.psi_x**2 + ev.psi_y**2)))
 
     def gradient(self, family, q, evaluation):
-        return evaluation.energy_gradient
+        ev = evaluation
+        if isinstance(ev, VortexIntegrals):
+            return ev.energy_gradient
+        w = ev.rule.weights
+        return ev.psi_x_tangents @ (w * ev.psi_x) + ev.psi_y_tangents @ (w * ev.psi_y)
 
 
 class Enstrophy(ConservedQuantity):
-    """I2 = 1/2 integral w^2 dA with w = -lap psi, exact over the plane as a
-    sum over vortex pairs."""
+    """I2 = 1/2 integral w^2 dA with w = -lap psi: by quadrature on a rule,
+    or exactly over the plane as a sum over vortex pairs."""
 
     name = "enstrophy"
 
     def value(self, family, q, rule=None):
-        return vortex_integrals(_require_stream_family(family), q, 0.0).enstrophy
+        fam = _require_stream_family(family)
+        if rule is None:
+            return vortex_integrals(fam, q, 0.0).enstrophy
+        psi, _ = fam.terms(rule.nodes, q, ((2, 0), (0, 2)), ())
+        return float(0.5 * np.sum(rule.weights * (psi[2, 0] + psi[0, 2]) ** 2))
 
     def value_at(self, family, q, evaluation):
-        return evaluation.enstrophy
+        ev = evaluation
+        if isinstance(ev, VortexIntegrals):
+            return ev.enstrophy
+        return float(0.5 * np.sum(ev.rule.weights * ev.field**2))
 
     def gradient(self, family, q, evaluation):
-        return evaluation.enstrophy_gradient
+        ev = evaluation
+        if isinstance(ev, VortexIntegrals):
+            return ev.enstrophy_gradient
+        return ev.tangents @ (ev.rule.weights * ev.field)
 
 
 def euler_invariants() -> tuple[KineticEnergy, Enstrophy]:

@@ -149,6 +149,24 @@ def test_mixed_tangent_spatial_derivatives(family):
                 assert np.max(np.abs(exact_own - fd_own)) / scale <= FD_TOL
 
 
+def test_vortex_tangent_points_are_the_leading_columns():
+    # tangent tables restricted to the first m points are those columns of
+    # the full tables, bit for bit, and the value tables do not change
+    fam = VortexStreamFunction(3)
+    rng = np.random.default_rng(5)
+    pts = points_for(fam, rng)
+    owners = rng.integers(0, fam.n_vortices, len(pts))
+    q = random_params(fam, rng)
+    orders = ((1, 0), (0, 1), (2, 0), (0, 2))
+    m = len(pts) // 3
+    for vortices in (None, owners):
+        psi, dpsi = fam.terms(pts, q, orders, orders, vortices)
+        psi_m, dpsi_m = fam.terms(pts, q, orders, orders, vortices, tangent_points=m)
+        for o in orders:
+            assert np.array_equal(psi_m[o], psi[o])
+            assert np.array_equal(dpsi_m[o], dpsi[o][:, :m])
+
+
 def test_sine_point_values():
     fam = SineWave()
     assert fam.evaluate(np.array([np.pi / 2]), np.array([1.0, 1.0, 0.0]))[0] == pytest.approx(1.0)

@@ -276,9 +276,8 @@ def test_fit_multi_start_can_rescue():
     assert result.residual_norm <= 1e-6
 
 
-def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
-    # the model evaluation and both fluid-invariant gradients share one
-    # table of Gaussian derivatives
+def _leapfrog_kernel_calls(monkeypatch, model):
+    """Kernel calls of one constrained assemble at the leapfrog q0."""
     calls = []
     kernel = VortexStreamFunction.terms
 
@@ -288,9 +287,19 @@ def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(VortexStreamFunction, "terms", counted)
     q0 = np.asarray(EXPERIMENTS["euler-leapfrog"].defaults["q0"], dtype=float)
-    fam = VortexStreamFunction(4)
-    model = vorticity(0.0)
     rule = box_rule((-2.5, -2.5), (2.5, 2.5), 40)
-    system = assemble(fam, q0, model, rule, model.conserved)
-    assert len(calls) == 1
+    system = assemble(VortexStreamFunction(4), q0, model, rule, model.conserved)
     assert system.constraints.gradients.shape == (16, 2)
+    return len(calls)
+
+
+def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
+    # the model evaluation and both fluid-invariant gradients share one
+    # table of Gaussian derivatives
+    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0)) == 1
+
+
+def test_exact_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
+    # the pair and triple products of M, f and both gradients share one
+    # table of Gaussian derivatives
+    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0, exact=True)) == 1

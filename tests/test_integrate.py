@@ -6,7 +6,7 @@ import pytest
 from rons.ansatz import GaussianWavePacket, SineWave, VortexStreamFunction
 from rons.errors import IntegrationAbort
 from rons.experiments import EXPERIMENTS, run
-from rons.hilbert import make_rule, periodic_interval, real_line
+from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
 from rons.integrate import (
     IntegratorConfig,
     Trajectory,
@@ -14,7 +14,7 @@ from rons.integrate import (
     integrate,
     solve_fixed_rk4,
 )
-from rons.models import PdeModel, advection_diffusion, nlse, vorticity
+from rons.models import ConservedQuantity, PdeModel, advection_diffusion, nlse, vorticity
 from rons.oracles import exact_advdiff
 
 
@@ -232,9 +232,10 @@ def test_rk45_euler_dipole_assembles_each_state_once(assembled_states, tmp_path)
     assert len(set(assembled_states)) == len(assembled_states)
 
 
-def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch):
-    # the recorder reads the invariants from the assembled system, so each
-    # assemble is the only Gaussian-kernel pass of its state
+@pytest.mark.parametrize("exact", [False, True], ids=["quadrature", "exact"])
+def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
+    # the recorder reads the invariants from the assembled system's bundle,
+    # so each assemble is the only Gaussian-kernel pass of its state
     module = importlib.import_module("rons.integrate")
     kernel, original = VortexStreamFunction.terms, module.assemble
     kernel_calls, assembles = [], []
@@ -250,14 +251,36 @@ def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch):
     monkeypatch.setattr(VortexStreamFunction, "terms", counted_kernel)
     monkeypatch.setattr(module, "assemble", counted_assemble)
     defaults = EXPERIMENTS["euler-pair"].defaults
-    model = vorticity(defaults["nu"])
+    model = vorticity(defaults["nu"], exact=exact)
+    rule = None if exact else box_rule((-7.0, -6.0), (7.0, 6.0), 40)
     traj = integrate(
-        VortexStreamFunction(2), model, None, model.conserved, defaults["q0"],
-        IntegratorConfig(t_end=2.0),
+        VortexStreamFunction(2), model, rule, model.conserved, defaults["q0"],
+        IntegratorConfig(t_end=0.5),
     )
     assert traj.diagnostics["invariants"].shape == (len(traj), 2)
     assert len(assembles) > len(traj)
     assert len(kernel_calls) == len(assembles)
+
+
+class _VortexX(ConservedQuantity):
+    """x of the first vortex, with the 3-argument value of a custom quantity."""
+
+    name = "x1"
+
+    def value(self, family, q, rule=None):
+        return float(q[2])
+
+
+def test_exact_vorticity_tracks_a_custom_quantity():
+    # the exact projection's bundle has no rule: a tracked quantity without
+    # its own value_at gets rule=None
+    defaults = EXPERIMENTS["euler-pair"].defaults
+    model = vorticity(defaults["nu"], exact=True)
+    traj = integrate(
+        VortexStreamFunction(2), model, None, model.conserved, defaults["q0"],
+        IntegratorConfig(t_end=0.5), track_quantities=(_VortexX(),),
+    )
+    assert np.array_equal(traj.diagnostics["invariants"][:, 0], traj.states[:, 2])
 
 
 def test_rk4_advdiff_assembles_each_state_once(assembled_states, advdiff_setup):

@@ -328,37 +328,62 @@ def vortex_cases(draw):
     return fam, q, nu
 
 
+def _integrals(fam, q, model, rule):
+    """M, f, ||F||^2, E, Z and their gradients from one projection."""
+    ke, ens = euler_invariants()
+    proj = model.projection(fam, q, rule, (ke, ens))
+    return {
+        "M": proj.M,
+        "f": proj.f,
+        "F_norm_sq": proj.F_norm_sq,
+        "energy": ke.value_at(fam, q, proj.evaluation),
+        "enstrophy": ens.value_at(fam, q, proj.evaluation),
+        "energy_gradient": proj.B[:, 0],
+        "enstrophy_gradient": proj.B[:, 1],
+    }
+
+
 def _quadrature_reference(fam, q, nu):
-    """M, f, ||F||^2, E, Z and their gradients by Gauss-Legendre quadrature
-    on a 256^2 window padded by 9 length scales."""
+    """The Gauss-Legendre projection on a 256^2 window padded by 9 length
+    scales."""
     centers, L = fam.centers(q), np.max(fam.length_scales(q))
     rule = box_rule(centers.min(axis=0) - 9 * L, centers.max(axis=0) + 9 * L, 256)
-    w = rule.weights
-    ev = vorticity(nu).evaluation(fam, q, rule)
-    psi, dpsi = fam.terms(rule.nodes, q, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
-    Tw = ev.tangents * w
-    return {
-        "M": Tw @ ev.tangents.T,
-        "f": Tw @ ev.F,
-        "F_norm_sq": np.sum(w * ev.F**2),
-        "energy": 0.5 * np.sum(w * (psi[1, 0] ** 2 + psi[0, 1] ** 2)),
-        "enstrophy": 0.5 * np.sum(w * ev.field**2),
-        "energy_gradient": dpsi[1, 0] @ (w * psi[1, 0]) + dpsi[0, 1] @ (w * psi[0, 1]),
-        "enstrophy_gradient": Tw @ ev.field,
-    }
+    return _integrals(fam, q, vorticity(nu), rule)
 
 
 def _rel_gap(a, b):
     return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
 
+def test_vorticity_projection_on_a_rule_is_the_rule_contraction():
+    # without exact=True the vortex projection is the Galerkin projection
+    # on the rule it is handed, like every model's: on a coarse window it
+    # differs visibly from the exact one
+    fam = VortexStreamFunction(2)
+    q = np.array([1.0, 1.0, -1.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    rule = box_rule((-5.0, -4.0), (5.0, 4.0), 24)
+    model = vorticity(0.0)
+    proj = model.projection(fam, q, rule, euler_invariants())
+    ev = model.evaluation(fam, q, rule)
+    Tw = ev.tangents * rule.weights
+    assert np.array_equal(proj.M, Tw @ ev.tangents.T)
+    assert np.array_equal(proj.f, Tw @ ev.F)
+    assert np.array_equal(proj.B[:, 1], ev.tangents @ (rule.weights * ev.field))
+    exact = vorticity(0.0, exact=True).projection(fam, q, rule, euler_invariants())
+    assert _rel_gap(proj.f, exact.f) > 1e-6
+    assert _rel_gap(exact.f, _quadrature_reference(fam, q, 0.0)["f"]) <= 1e-12
+
+
 @settings(max_examples=12, deadline=None)
 @given(vortex_cases())
 def test_vortex_integrals_match_quadrature(case):
     fam, q, nu = case
-    exact = vortex_integrals(fam, q, nu)
+    exact = _integrals(fam, q, vorticity(nu, exact=True), None)
     for name, ref in _quadrature_reference(fam, q, nu).items():
-        assert _rel_gap(getattr(exact, name), ref) <= 1e-12, name
+        assert _rel_gap(exact[name], ref) <= 1e-12, name
+    ke, ens = euler_invariants()
+    assert ke.value(fam, q) == exact["energy"]
+    assert ens.value(fam, q) == exact["enstrophy"]
 
 
 @settings(max_examples=12, deadline=None)
