@@ -21,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -331,27 +332,29 @@ def _vortex_circulations(family, q, evaluation):
     for i in range(family.n_vortices):
         omega_i = A[i] * evaluation.tangents[4 * i]
         net.append(float(np.sum(w * omega_i)))
-        sgn = np.sign(A[i]) if A[i] != 0 else 1.0
-        core.append(float(np.sum(w * omega_i * (sgn * omega_i > 0))))
+        core.append(float(np.sum(w * omega_i * (np.sign(A[i]) * omega_i > 0))))
     return np.array(net), np.array(core)
 
 
-# a reference this small against its scale is cancellation round-off (the
-# quadrature sums stay far below it); a relative gap to it is meaningless
-_ZERO_REF_REL = 1e-10
-
-
-def _rel_gap(value, ref, scale=None):
-    """|value - ref| / |ref|, or NaN (null in summary.json) when `ref` is
-    zero to rounding against `scale` (by default only when it is exactly 0).
-    """
-    scale = ref if scale is None else scale
-    if abs(ref) <= _ZERO_REF_REL * abs(scale):
+def _rel_gap(value, ref):
+    """|value - ref| / |ref|, or NaN (null in summary.json) when `ref` is 0."""
+    if ref == 0:
         return np.nan
     return float(abs(value - ref) / abs(ref))
 
 
-def _run_euler(config, out_dir, files, series, n_vortices):
+def _write_tracks(path: Path, times, centers) -> None:
+    """Vortex center paths `x1, y1, x2, y2, ...`; centers has shape (T, N, 2)."""
+    cols = {}
+    for i in range(centers.shape[1]):
+        cols[f"x{i + 1}"] = centers[:, i, 0]
+        cols[f"y{i + 1}"] = centers[:, i, 1]
+    _write_series(path, times, cols)
+
+
+def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
+    """One euler run; `metrics_of(traj, pv, cores)` adds the experiment's own
+    metrics to the shared ones."""
     family = VortexStreamFunction(n_vortices)
     model = vorticity(config["nu"], exact=True)
     quantities = model.conserved if config["constrained"] else ()
@@ -368,38 +371,30 @@ def _run_euler(config, out_dir, files, series, n_vortices):
         rule0, ev0.field, ev0.F, family.centers(q0), np.sign(family.unpack(q0)[0])
     )
 
-    # point-vortex references, kept for information: circulations matched by
-    # quadrature of each vortex's vorticity, and of its sign-definite core.
-    # The Gaussian stream function makes each vortex shielded, so the net
-    # circulations integrate to zero and that reference does not move.
+    # point-vortex reference, for information: circulations matched by
+    # quadrature of each vortex's sign-definite core. The Gaussian stream
+    # function makes each vortex shielded, so its net circulation integrates
+    # to zero; `net_circulations` records that, and point vortices with those
+    # strengths would not move.
     net, core = _vortex_circulations(family, q0, ev0)
-    centers0 = family.centers(q0)
-    pv_net = point_vortex(
-        PointVortexState(net, centers0), config["t_end"] / 400, config["t_end"]
-    )
-    pv_core = point_vortex(
-        PointVortexState(core, centers0), config["t_end"] / 400, config["t_end"]
+    pv = point_vortex(
+        PointVortexState(core, family.centers(q0)), config["t_end"] / 400, config["t_end"]
     )
 
-    track_cols = {}
-    for i in range(n_vortices):
-        track_cols[f"x{i + 1}"] = traj.states[:, 4 * i + 2]
-        track_cols[f"y{i + 1}"] = traj.states[:, 4 * i + 3]
-    _write_series(out_dir / "series_rons_tracks.csv", traj.times, track_cols)
+    _write_trajectory(out_dir / "trajectory.csv", traj)
+    files["trajectory"] = "trajectory.csv"
+    rons_centers = traj.states.reshape(-1, n_vortices, 4)[:, :, 2:]
+    _write_tracks(out_dir / "series_rons_tracks.csv", traj.times, rons_centers)
     series["rons_tracks"] = "series_rons_tracks.csv"
-
-    for tag, pv in (("pv_tracks", pv_net), ("pv_tracks_core", pv_core)):
-        pv_t = np.array([s.time for s in pv])
-        cols = {}
-        for i in range(n_vortices):
-            cols[f"x{i + 1}"] = np.array([s.centers[i, 0] for s in pv])
-            cols[f"y{i + 1}"] = np.array([s.centers[i, 1] for s in pv])
-        _write_series(out_dir / f"series_{tag}.csv", pv_t, cols)
-        series[tag] = f"series_{tag}.csv"
+    pv_centers = np.array([s.centers for s in pv])
+    _write_tracks(out_dir / "series_pv_tracks_core.csv", [s.time for s in pv], pv_centers)
+    series["pv_tracks_core"] = "series_pv_tracks_core.csv"
+    _write_euler_fields(config, family, model, traj, out_dir, files)
 
     drift = traj.invariant_drift()
     amps = traj.states[:, 0::4]
     lens = traj.states[:, 1::4]
+    H = point_vortex_hamiltonian
     metrics = {
         "max_rel_drift_A": float(
             np.max(np.abs(amps - amps[0]) / np.abs(amps[0]))
@@ -413,70 +408,45 @@ def _run_euler(config, out_dir, files, series, n_vortices):
         "core_circulations": [float(g) for g in core],
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
         "hamiltonian_drift_pv_core": float(
-            abs(
-                point_vortex_hamiltonian(pv_core[-1])
-                - point_vortex_hamiltonian(pv_core[0])
-            )
-            / max(abs(point_vortex_hamiltonian(pv_core[0])), 1e-300)
+            abs(H(pv[-1]) - H(pv[0])) / max(abs(H(pv[0])), 1e-300)
         ),
     }
-    return traj, pv_net, pv_core, cores, metrics
+    metrics.update(metrics_of(traj, pv, cores))
+    return metrics, {"model": "rons_tracks", "reference": "pv_tracks_core"}
 
 
-def _run_dipole(config, out_dir, files, series):
-    traj, pv_net, pv_core, cores, metrics = _run_euler(
-        config, out_dir, files, series, 2
-    )
+def _dipole_metrics(traj, pv, cores):
     mid = 0.5 * (traj.states[:, 2:4] + traj.states[:, 6:8])
-    d0 = mid[0]
-    disp = mid - d0
+    disp = mid - mid[0]
     total = np.linalg.norm(disp[-1])
     # lateral deviation from the straight line through start and end points
     direction = disp[-1] / max(total, 1e-300)
     lateral = np.abs(disp[:, 0] * direction[1] - disp[:, 1] * direction[0])
     speeds = np.linalg.norm(np.diff(mid, axis=0), axis=1) / np.diff(traj.times)
-    sep = float(np.hypot(*(traj.states[0, 2:4] - traj.states[0, 6:8])))
-
-    def pv_speed(pv):
-        pv_mid = 0.5 * (pv[0].centers[0] + pv[0].centers[1])
-        pv_mid_end = 0.5 * (pv[-1].centers[0] + pv[-1].centers[1])
-        return float(
-            np.linalg.norm(pv_mid_end - pv_mid) / (pv[-1].time - pv[0].time)
-        )
-
+    pv_mid = [0.5 * (s.centers[0] + s.centers[1]) for s in (pv[0], pv[-1])]
     _, V = cores
     v_rons = float(np.mean(speeds))
-    v_pv_net = pv_speed(pv_net)
-    v_pv_core = pv_speed(pv_core)
-    metrics.update(
-        {
-            "rons_speed": v_rons,
-            "speed_rel_variation": float(
-                (speeds.max() - speeds.min()) / np.mean(speeds)
-            ),
-            "lateral_dev_over_distance": float(np.max(lateral) / max(total, 1e-300)),
-            "euler_core_speed": float(np.linalg.norm(0.5 * (V[0] + V[1]))),
-            "pv_speed_net_circulation": v_pv_net,
-            "pv_speed_core_circulation": v_pv_core,
-            "speed_rel_gap_pv_net": _rel_gap(v_rons, v_pv_net, v_pv_core),
-            "speed_rel_gap_pv_core": _rel_gap(v_rons, v_pv_core),
-            "initial_separation": sep,
-        }
-    )
-    _write_trajectory(out_dir / "trajectory.csv", traj)
-    files["trajectory"] = "trajectory.csv"
-    _write_euler_fields(config, traj, out_dir, files)
-    return metrics, {"model": "rons_tracks", "reference": "pv_tracks"}
+    v_pv = float(np.linalg.norm(pv_mid[1] - pv_mid[0]) / (pv[-1].time - pv[0].time))
+    return {
+        "rons_speed": v_rons,
+        "speed_rel_variation": float(
+            (speeds.max() - speeds.min()) / np.mean(speeds)
+        ),
+        "lateral_dev_over_distance": float(np.max(lateral) / max(total, 1e-300)),
+        "euler_core_speed": float(np.linalg.norm(0.5 * (V[0] + V[1]))),
+        "pv_speed_core_circulation": v_pv,
+        "speed_rel_gap_pv_core": _rel_gap(v_rons, v_pv),
+        "initial_separation": float(
+            np.hypot(*(traj.states[0, 2:4] - traj.states[0, 6:8]))
+        ),
+    }
 
 
 def _fit_angular_velocity(times, theta):
     return float(np.polyfit(times, theta, 1)[0])
 
 
-def _run_pair(config, out_dir, files, series):
-    traj, pv_net, pv_core, cores, metrics = _run_euler(
-        config, out_dir, files, series, 2
-    )
+def _pair_metrics(traj, pv, cores):
     rel = traj.states[:, 6:8] - traj.states[:, 2:4]
     sep = np.linalg.norm(rel, axis=1)
     theta = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
@@ -486,41 +456,25 @@ def _run_pair(config, out_dir, files, series):
     omega_windows = [
         _fit_angular_velocity(traj.times[idx], theta[idx]) for idx in thirds
     ]
-    d = float(sep[0])
-
-    def pv_omega(pv):
-        rel_pv = np.array([s.centers[1] - s.centers[0] for s in pv])
-        th = np.unwrap(np.arctan2(rel_pv[:, 1], rel_pv[:, 0]))
-        return _fit_angular_velocity(np.array([s.time for s in pv]), th)
-
-    om_net, om_core = pv_omega(pv_net), pv_omega(pv_core)
+    rel_pv = np.array([s.centers[1] - s.centers[0] for s in pv])
+    th_pv = np.unwrap(np.arctan2(rel_pv[:, 1], rel_pv[:, 0]))
+    om_pv = _fit_angular_velocity(np.array([s.time for s in pv]), th_pv)
     X, V = cores
     rel_core = X[1] - X[0]
     d_core = float(np.linalg.norm(rel_core))
     perp = np.array([-rel_core[1], rel_core[0]]) / d_core
-    gamma_net = metrics["net_circulations"][0]
-    gamma_core = metrics["core_circulations"][0]
-    metrics.update(
-        {
-            "separation_drift_rel": float(np.max(np.abs(sep - sep[0])) / sep[0]),
-            "rons_angular_velocity": omega,
-            "angular_velocity_rel_variation": float(
-                (max(omega_windows) - min(omega_windows)) / abs(omega)
-            ),
-            "revolutions": float((theta[-1] - theta[0]) / (2 * np.pi)),
-            "euler_core_angular_velocity": float((V[1] - V[0]) @ perp / d_core),
-            "pv_angular_velocity_net": om_net,
-            "pv_angular_velocity_core": om_core,
-            "pv_formula_net": float(gamma_net / (np.pi * d**2)),
-            "pv_formula_core": float(gamma_core / (np.pi * d**2)),
-            "omega_rel_gap_pv_net": _rel_gap(omega, om_net, om_core),
-            "omega_rel_gap_pv_core": _rel_gap(omega, om_core),
-        }
-    )
-    _write_trajectory(out_dir / "trajectory.csv", traj)
-    files["trajectory"] = "trajectory.csv"
-    _write_euler_fields(config, traj, out_dir, files)
-    return metrics, {"model": "rons_tracks", "reference": "pv_tracks"}
+    return {
+        "separation_drift_rel": float(np.max(np.abs(sep - sep[0])) / sep[0]),
+        "rons_angular_velocity": omega,
+        "angular_velocity_rel_variation": float(
+            (max(omega_windows) - min(omega_windows)) / abs(omega)
+        ),
+        "revolutions": float((theta[-1] - theta[0]) / (2 * np.pi)),
+        "euler_core_angular_velocity": float((V[1] - V[0]) @ perp / d_core),
+        "pv_angular_velocity_core": om_pv,
+        "pv_formula_core": float(pv[0].strengths[0] / (np.pi * sep[0] ** 2)),
+        "omega_rel_gap_pv_core": _rel_gap(omega, om_pv),
+    }
 
 
 def _count_swaps(xa, xb):
@@ -528,27 +482,16 @@ def _count_swaps(xa, xb):
     return int(np.sum(np.diff(sign) != 0))
 
 
-def _run_leapfrog(config, out_dir, files, series):
-    traj, *_, metrics = _run_euler(config, out_dir, files, series, 4)
+def _leapfrog_metrics(traj, pv, cores):
     # vortices 1 and 3 carry positive amplitude, 2 and 4 negative
-    swaps_pos = _count_swaps(traj.states[:, 2], traj.states[:, 10])
-    swaps_neg = _count_swaps(traj.states[:, 6], traj.states[:, 14])
-    metrics.update(
-        {
-            "swaps_positive_pair": swaps_pos,
-            "swaps_negative_pair": swaps_neg,
-            "x_travel": float(traj.states[-1, 2] - traj.states[0, 2]),
-        }
-    )
-    _write_trajectory(out_dir / "trajectory.csv", traj)
-    files["trajectory"] = "trajectory.csv"
-    _write_euler_fields(config, traj, out_dir, files)
-    return metrics, {"model": "rons_tracks", "reference": "pv_tracks"}
+    return {
+        "swaps_positive_pair": _count_swaps(traj.states[:, 2], traj.states[:, 10]),
+        "swaps_negative_pair": _count_swaps(traj.states[:, 6], traj.states[:, 14]),
+        "x_travel": float(traj.states[-1, 2] - traj.states[0, 2]),
+    }
 
 
-def _write_euler_fields(config, traj, out_dir, files):
-    family = VortexStreamFunction(len(traj.labels) // 4)
-    model = vorticity(config["nu"])
+def _write_euler_fields(config, family, model, traj, out_dir, files):
     rows = []
     for t in _snapshot_times(traj.times[-1], config["snapshots"]):
         q = traj.interpolate(t)
@@ -778,7 +721,7 @@ _register(
         "window_pad": 7.0,
         "constrained": True,
     },
-    _run_dipole,
+    partial(_run_euler, n_vortices=2, metrics_of=_dipole_metrics),
 )
 _register(
     "euler-pair",
@@ -793,7 +736,7 @@ _register(
         "window_pad": 6.0,
         "constrained": True,
     },
-    _run_pair,
+    partial(_run_euler, n_vortices=2, metrics_of=_pair_metrics),
 )
 _register(
     "euler-leapfrog",
@@ -815,7 +758,7 @@ _register(
         "rtol": 1e-7,
         "atol": 1e-9,
     },
-    _run_leapfrog,
+    partial(_run_euler, n_vortices=4, metrics_of=_leapfrog_metrics),
 )
 _register(
     "galerkin-equivalence",

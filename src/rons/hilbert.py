@@ -133,6 +133,22 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
+def _tensor_rule(domain: Domain, lo, hi, resolution) -> QuadratureRule:
+    """Gauss-Legendre tensor rule on the box [lo, hi] of a plane domain;
+    resolution is the node count per axis, or a tuple (nx, ny)."""
+    if np.isscalar(resolution):
+        resolution = (int(resolution), int(resolution))
+    nx, ny = (int(r) for r in resolution)
+    if nx < 2 or ny < 2:
+        raise ValueError("resolution must be >= 2 per axis")
+    (x0, y0), (x1, y1) = lo, hi
+    x, wx = gauss_legendre(x0, x1, nx)
+    y, wy = gauss_legendre(y0, y1, ny)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    return QuadratureRule(domain, nodes, np.outer(wx, wy).ravel())
+
+
 def make_rule(domain: Domain, resolution) -> QuadratureRule:
     """Build the default rule for a domain.
 
@@ -140,18 +156,8 @@ def make_rule(domain: Domain, resolution) -> QuadratureRule:
     (nx, ny) is also accepted).
     """
     if domain.kind == "plane":
-        if np.isscalar(resolution):
-            resolution = (int(resolution), int(resolution))
-        nx, ny = (int(r) for r in resolution)
-        if nx < 2 or ny < 2:
-            raise ValueError("resolution must be >= 2 per axis")
         hx, hy = domain.extents
-        x, wx = gauss_legendre(-hx, hx, nx)
-        y, wy = gauss_legendre(-hy, hy, ny)
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        weights = np.outer(wx, wy).ravel()
-        return QuadratureRule(domain, nodes, weights)
+        return _tensor_rule(domain, (-hx, -hy), (hx, hy), resolution)
 
     n = int(resolution)
     if n < 2:
@@ -173,17 +179,9 @@ def box_rule(lo, hi, resolution) -> QuadratureRule:
     Used for windows around the current vortex positions, which may have
     translated far from the origin, at a fixed node count.
     """
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    nx, ny = (int(r) for r in resolution)
     (x0, y0), (x1, y1) = lo, hi
-    x, wx = gauss_legendre(x0, x1, nx)
-    y, wy = gauss_legendre(y0, y1, ny)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    weights = np.outer(wx, wy).ravel()
     hw = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    return QuadratureRule(plane(hw, hw), nodes, weights)
+    return _tensor_rule(plane(hw, hw), lo, hi, resolution)
 
 
 def field_values(a) -> np.ndarray:

@@ -199,8 +199,7 @@ def test_criterion_5_point_vortex_speed_match(records):
         "5b dipole-pv-speed",
         ok,
         f"rons speed {v_rons:.4f} vs exact-Euler core speed {v_ref:.4f} "
-        f"(gap {gap:.1%}); point vortices for information: net-circulation "
-        f"{m['pv_speed_net_circulation']:.1e}, core-circulation "
+        f"(gap {gap:.1%}); core-circulation point vortices for information: "
         f"{m['pv_speed_core_circulation']:.4f} (gap {m['speed_rel_gap_pv_core']:.0%})",
     )
     assert ok, (
@@ -236,7 +235,6 @@ def test_criterion_6_point_vortex_omega_match(records):
         ok,
         f"rons omega {om_rons:.4f} vs exact-Euler core rate {om_ref:.4f} "
         f"(gap {gap:.1%}); point vortices for information: Gamma/(pi d^2) = "
-        f"{m['pv_formula_net']:.1e} from net circulations, "
         f"{m['pv_formula_core']:.4f} from core circulations "
         f"(gap {m['omega_rel_gap_pv_core']:.0%})",
     )

@@ -111,8 +111,8 @@ def test_alignment_error():
 def test_box_rule_matches_domain_rule():
     a = make_rule(plane(3.0), 40)
     b = box_rule((-3.0, -3.0), (3.0, 3.0), 40)
-    assert np.allclose(a.nodes, b.nodes)
-    assert np.allclose(a.weights, b.weights)
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.weights, b.weights)
 
 
 @settings(max_examples=50, deadline=None)
