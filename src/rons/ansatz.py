@@ -7,13 +7,15 @@ take the spatial derivatives its PDE needs.  All derivatives are closed
 forms; no numerical differentiation happens at evaluation time.  The test
 suite validates every closed form against central finite differences.
 
-The Gaussian stream-function family has a single kernel,
-`VortexStreamFunction.terms`, which builds the requested derivative orders
-and parameter tangents in one pass: of all vortices at every point, or of
-one given vortex per point, with the tangents optionally only at the
-leading points.  The vorticity model calls it once per parameter state: on
-the nodes of the Gaussian-product rules of its exact integrals
-(`rons.models.vortex_integrals`), or on a rule's nodes for a node bundle.
+The Gaussian stream-function family has two kernels.
+`VortexStreamFunction.terms` builds the requested derivative orders and
+parameter tangents of all vortices at every point of a rule in one pass;
+the vorticity model calls it once per node bundle (field snapshots, the
+t = 0 core-centroid oracle, the Galerkin projection on a rule).
+`VortexStreamFunction.axis_factors` builds the 1-D factors X_a(x), Y_b(y)
+of each vortex's Gaussian derivatives, D^(a,b) G = X_a(x) Y_b(y), with
+their length-scale derivatives; the exact projection
+(`rons.models.vortex_integrals`) calls it once per parameter state.
 Nothing is cached between calls.
 
 Point batches are arrays of shape (P,) for 1D families and (P, 2) for the
@@ -305,9 +307,10 @@ class VortexStreamFunction(AnsatzFamily):
     psi(x; q) = sum_i A_i exp(-|x - x_i|^2 / L_i^2) with 4 parameters
     (A_i, L_i, x_i, y_i) per vortex.  The family evaluates the stream
     function; the vorticity model derives velocity and vorticity from it.
-    Every value, tangent and spatial derivative comes from one kernel,
-    `terms`, which builds all requested derivative orders of all vortices
-    in a single pass.
+    Every value, tangent and spatial derivative at given points comes from
+    one kernel, `terms`, which builds all requested derivative orders of
+    all vortices in a single pass; `axis_factors` gives the derivatives of
+    single vortices as products of 1-D factors, one per axis.
     """
 
     def __init__(self, n_vortices: int):
@@ -341,26 +344,21 @@ class VortexStreamFunction(AnsatzFamily):
             return f"amplitudes must be nonzero, got {A}"
         return None
 
-    def terms(self, points, q, orders, tangent_orders, vortices=None, tangent_points=None):
+    def terms(self, points, q, orders, tangent_orders):
         """Mixed spatial derivatives of psi and their parameter tangents.
 
         Returns (psi, dpsi): psi[a, b] is D^(a,b) psi, shape (P,), for each
         (a, b) in `orders`, and dpsi[a, b] is d/dq of D^(a,b) psi, shape
         (n, P), for each (a, b) in `tangent_orders`; orders are (a, b)
-        tuples.  With `vortices`, an int array of one vortex index per
-        point, each point sees only that vortex: psi[a, b] is then
-        A_v D^(a,b) G_v at each point and dpsi[a, b] its tangent along
-        (A_v, L_v, x_v, y_v), shape (4, P).  With the scaled
-        offsets sx = (x - x_i)/L_i, sy = (y - y_i)/L_i, E = exp(-sx^2 - sy^2)
-        and the Hermite polynomials H_k, each Gaussian factor has
+        tuples.  With the scaled offsets sx = (x - x_i)/L_i,
+        sy = (y - y_i)/L_i, E = exp(-sx^2 - sy^2) and the Hermite
+        polynomials H_k, each Gaussian factor has
 
             D^(a,b) G_i = [(-1/L_i)^a H_a(sx)] [(-1/L_i)^b H_b(sy) E],
 
-        built here as one (orders x vortices x P) table, or (orders x 1 x P)
-        with `vortices`.  Only the tables that are asked for are built: a
-        full tangent table of every order would dominate the memory of a
-        large rule.  With `tangent_points`, the tangent tables cover only
-        the first that many points.
+        built here as one (orders x vortices x P) table.  Only the tables
+        that are asked for are built: a full tangent table of every order
+        would dominate the memory of a large rule.
         """
         # the tangents of D^(a,b) G need the neighbouring orders: the center
         # tangents are -D^(a+1,b) G and -D^(a,b+1) G, and with dsx/dL = -sx/L
@@ -372,16 +370,9 @@ class VortexStreamFunction(AnsatzFamily):
         needed = sorted(needed)
         kmax = max(max(o) for o in needed)
 
-        A, L, xc, yc = self.unpack(q)
+        # rows: vortices, columns: points
+        A, L, xc, yc = (v[:, None] for v in self.unpack(q))
         scales = [(-1.0 / L) ** k for k in range(kmax + 1)]
-
-        def per_row(v):
-            if vortices is None:      # rows: vortices, columns: points
-                return v[:, None]
-            return v[None, vortices]  # one row: each point's own vortex
-
-        A, L, xc, yc = map(per_row, (A, L, xc, yc))
-        scales = [per_row(c) for c in scales]
         sx = (points[:, 0] - xc) / L
         sy = (points[:, 1] - yc) / L
         s2 = sx**2 + sy**2
@@ -394,16 +385,10 @@ class VortexStreamFunction(AnsatzFamily):
             np.multiply(Dx[a], DyE[b], out=G[k])
             row[a, b] = k
         del Dx, DyE                                        # before the tangent tables
-        if vortices is None:
-            psi_all = A[:, 0] @ G
-            psi = {o: psi_all[row[o]] for o in orders}
-        else:
-            psi = {o: A[0] * G[row[o], 0] for o in orders}
+        psi_all = A[:, 0] @ G
+        psi = {o: psi_all[row[o]] for o in orders}
 
         dpsi = {}
-        if tangent_points is not None:
-            A, L, sx, sy, s2 = (v[..., :tangent_points] for v in (A, L, sx, sy, s2))
-            G = G[..., :tangent_points]
         for a, b in tangent_orders:
             d_dL = (2.0 * s2 - (a + b)) * G[row[a, b]]
             if a >= 1:
@@ -417,6 +402,43 @@ class VortexStreamFunction(AnsatzFamily):
             np.multiply(-A, G[row[a, b + 1]], out=d[:, 3])
             dpsi[a, b] = d.reshape(-1, s2.shape[1])
         return psi, dpsi
+
+    def axis_factors(self, nodes, q, vortices):
+        """The 1-D factors of each site's vortex on that site's nodes.
+
+        `nodes` has shape (2, S, K): the x and the y coordinates of K nodes
+        for each of S sites, and `vortices` (S,) names each site's vortex.
+        Returns shape (2, S, 8, K).  On the x axis, with
+        s = (x - x_v)/L_v, rows 0..4 hold
+
+            X_a = (-1/L_v)^a H_a(s) e^{-s^2},
+
+        and rows 5..7 hold XL_a = L_v dX_a/dL_v for a = 0..2,
+
+            XL_a = (2 s^2 - a) X_a + 2a (s/L_v) X_{a-1};
+
+        the y axis likewise with y_v.  Every Gaussian derivative factors,
+        D^(a,b) G_v = X_a(x) Y_b(y), and so do its tangents: along A_v the
+        factor itself, along x_v and y_v -A_v X_{a+1} Y_b and
+        -A_v X_a Y_{b+1}, along L_v (A_v/L_v)(XL_a Y_b + X_a YL_b).
+        """
+        site = np.asarray(q, dtype=float).reshape(self.n_vortices, 4)[vortices]
+        r = -1.0 / site[:, 1:2]                                # (S, 1): -1/L_v
+        s = (nodes - site[:, 2:].T[:, :, None]) * -r
+        X = np.empty((8,) + s.shape)
+        np.exp(-(s * s), out=X[0])
+        scaled = X[0]                                          # r^a e^{-s^2}
+        for a, H in enumerate(_hermite_table(s, 4)[1:], start=1):
+            scaled = r * scaled
+            np.multiply(H, scaled, out=X[a])
+        # XL_a = (2 s^2 - a) X_a + 2a (s/L) X_{a-1}
+        two_s2, two_sL = 2.0 * s * s, -2.0 * r * s
+        np.multiply(two_s2, X[0], out=X[5])
+        np.multiply(two_s2 - 1.0, X[1], out=X[6])
+        X[6] += two_sL * X[0]
+        np.multiply(two_s2 - 2.0, X[2], out=X[7])
+        X[7] += 2.0 * two_sL * X[1]
+        return X.transpose(1, 2, 0, 3)
 
     def evaluate(self, points, q):
         return self.terms(points, q, ((0, 0),), ())[0][0, 0]

@@ -3,9 +3,10 @@
 Given an ansatz family, a PDE model and a quadrature rule, `assemble` builds
 the metric tensor M_ij = <du/dq_i, du/dq_j> and the forcing
 f_i = <du/dq_i, F(u)> from the model's projection (`PdeModel.projection`):
-weighted sums over the rule's nodes by default, or exact whole-plane
-integrals for the vorticity model built with `exact=True`, which ignores
-the rule.  The optimal parameter velocity is qdot = M^-1 f; with conserved
+weighted sums over the rule's nodes by default, or exact whole-domain
+integrals, which ignore the rule, for the Schroedinger model on the
+Gaussian wave packet and the vorticity model built with `exact=True`.
+The optimal parameter velocity is qdot = M^-1 f; with conserved
 quantities I_k enforced it becomes
 
     qdot = M^-1 (f - sum_k lambda_k grad I_k),    C lambda = b,

@@ -668,6 +668,8 @@ _register(
     {
         "q0": [0.2, 20.0, -0.05, 0.0],
         "t_end": 60.0,
+        # the projection is closed-form over the whole line; the rule
+        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
         "half_width": 120.0,
         "resolution": 1000,
         "constrained": True,
@@ -683,6 +685,8 @@ _register(
     {
         "q0": [0.2, 5.0, 0.0, 0.0],
         "t_end": 40.0,
+        # the projection is closed-form over the whole line; the rule
+        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
         "half_width": 150.0,
         "resolution": 1400,
         "constrained": True,
@@ -699,6 +703,8 @@ _register(
     {
         "q0": [0.2, 20.0, -0.05, 0.0],
         "t_end": 60.0,
+        # the projection is closed-form over the whole line; the rule
+        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
         "half_width": 120.0,
         "resolution": 1000,
         "constrained": False,

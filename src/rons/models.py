@@ -12,12 +12,21 @@ of the conserved quantities and ||F||^2, and the bundle they were read
 from, which the engine, the constraint solve and the integrator's recorder
 all share.  By default it contracts the node bundle of
 `PdeModel.evaluation` with the weights of the quadrature rule it is given.
-The vorticity model built with `exact=True` instead integrates over the
-whole plane and ignores the rule: every integrand is a polynomial times a
-product of Gaussians, which is one Gaussian, and a Gauss-Hermite rule
-centred on that product integrates it exactly (`vortex_integrals`).  Its
-`evaluation` on a rule remains the node bundle for field snapshots, the
-t = 0 core-centroid oracle and the quadrature projection.
+Two projections integrate over the whole domain instead and ignore the
+rule; their bundles have `rule = None`:
+
+- the Schroedinger model on the Gaussian wave packet, in closed form
+  (`wave_packet_integrals`): every integrand is a Gaussian moment;
+- the vorticity model built with `exact=True` (`vortex_integrals`): every
+  integrand is a polynomial times a product of Gaussians, which is one
+  Gaussian, and the tensor product of two 1-D Gauss-Hermite rules centred
+  on that product integrates it exactly.  Every Gaussian derivative
+  factors into an x part and a y part, so each integral is a sum of
+  products of two 1-D sums, built from per-axis tables of the vortices.
+
+The vorticity model's `evaluation` on a rule remains the node bundle for
+field snapshots, the t = 0 core-centroid oracle and the quadrature
+projection.
 
 Conserved quantities expose a value and a gradient in parameter space.  The
 wave-packet mass and energy use closed-form Gaussian moments (cross-checked
@@ -31,16 +40,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import AnsatzFamily, VortexStreamFunction
+from .ansatz import AnsatzFamily, GaussianWavePacket, VortexStreamFunction
 from .hilbert import QuadratureRule
 
 __all__ = [
     "ModelEvaluation",
     "Projection",
     "VortexIntegrals",
+    "WavePacketIntegrals",
     "PdeModel",
     "ConservedQuantity",
     "AdvectionDiffusion",
@@ -50,6 +61,7 @@ __all__ = [
     "nlse",
     "vorticity",
     "vortex_integrals",
+    "wave_packet_integrals",
     "nlse_invariants",
     "euler_invariants",
 ]
@@ -239,7 +251,60 @@ class WavePacketEnergy(ConservedQuantity):
         return np.array([dA, dL, dV, 0.0])
 
 
+@dataclass(frozen=True, eq=False)
+class WavePacketIntegrals:
+    """Exact whole-line inner products of one Gaussian wave-packet state."""
+
+    rule = None                      # whole line: no quadrature rule
+
+    M: np.ndarray                    # (4, 4) <T_i, T_j>
+    f: np.ndarray                    # (4,)   <T_i, F>
+    F_norm_sq: float                 # ||F||^2
+
+
+def wave_packet_integrals(q) -> WavePacketIntegrals:
+    """M, f and ||F||^2 of u_t = i u_xx + i |u|^2 u on the Gaussian packet,
+    integrated over the whole line in closed form.
+
+    With u = A exp(-beta x^2 + i phi) and beta = 1/L^2 - i V/L, the tangents
+    are T_k = u (a_k + b_k x^2) and F = u (g0 + g1 x^2 + i A^2 e^{-2x^2/L^2})
+    with g0 = -2i beta and g1 = 4i beta^2.  The chirp cancels in every
+    product, which leaves the moments mu_m = int x^{2m} e^{-2x^2/L^2},
+    nu_m = int x^{2m} e^{-4x^2/L^2} and rho_0 = int e^{-6x^2/L^2}.
+    """
+    A, L, V, _ = q
+    beta = 1.0 / L**2 - 1j * V / L
+    a = np.array([1.0 / A, 0.0, 0.0, 1j])
+    b = np.array([0.0, 2.0 / L**3 - 1j * V / L**2, 1j / L, 0.0])
+    g0, g1 = -2j * beta, 4j * beta**2
+    mu0 = L * np.sqrt(np.pi / 2.0)
+    mu1, mu2 = mu0 * L**2 / 4.0, 3.0 * mu0 * L**4 / 16.0
+    nu0 = L * np.sqrt(np.pi) / 2.0
+    nu1 = nu0 * L**2 / 8.0
+    rho0 = L * np.sqrt(np.pi / 6.0)
+    A2 = A * A
+    ac, bc = a.conj(), b.conj()
+    M = A2 * np.real(
+        mu0 * np.outer(a, ac) + mu1 * (np.outer(a, bc) + np.outer(b, ac)) + mu2 * np.outer(b, bc)
+    )
+    # Re[-i z] = Im z for the cubic term
+    f = A2 * np.real(
+        a * np.conj(g0) * mu0 + (a * np.conj(g1) + b * np.conj(g0)) * mu1 + b * np.conj(g1) * mu2
+    ) + A2**2 * np.imag(a * nu0 + b * nu1)
+    F_norm_sq = (
+        A2 * (abs(g0) ** 2 * mu0 + 2.0 * np.real(g0 * np.conj(g1)) * mu1 + abs(g1) ** 2 * mu2)
+        + 2.0 * A2**2 * np.imag(g0 * nu0 + g1 * nu1)
+        + A2**3 * rho0
+    )
+    return WavePacketIntegrals(M=M, f=f, F_norm_sq=float(F_norm_sq))
+
+
 class Nlse(PdeModel):
+    """u_t = i u_xx + i |u|^2 u.  On the Gaussian wave packet the projection
+    integrates over the whole line in closed form (`wave_packet_integrals`)
+    and ignores the rule it is handed; on other families it is the Galerkin
+    projection on that rule."""
+
     def __init__(self):
         self.name = "nlse"
         self.conserved = nlse_invariants()
@@ -248,6 +313,12 @@ class Nlse(PdeModel):
         u = family.evaluate(rule.nodes, q)
         uxx = family.spatial_derivative(rule.nodes, q, 2)
         return 1j * uxx + 1j * np.abs(u) ** 2 * u
+
+    def projection(self, family, q, rule=None, quantities=()):
+        if not isinstance(family, GaussianWavePacket):
+            return super().projection(family, q, rule, quantities)
+        ints = wave_packet_integrals(q)
+        return _project(family, q, ints, quantities, ints.M, ints.f, ints.F_norm_sq)
 
 
 def nlse() -> Nlse:
@@ -283,40 +354,152 @@ _VISCOUS_ORDERS = ((4, 0), (2, 2), (0, 4))
 _W_TANGENT_ORDERS = ((2, 0), (0, 2))
 _U_TANGENT_ORDERS = ((1, 0), (0, 1))
 
-# Gauss-Hermite nodes per axis of each Gaussian-product rule.  Per axis, a
-# tangent of w is a polynomial of degree <= 4 times the Gaussians, u.grad w
-# of degree <= 3 and lap w of degree <= 4, and every integrand multiplies
-# two such factors: degree <= 8.  n nodes are exact through degree 2n - 1,
-# so 6 nodes (degree 11) integrate every product exactly.
+# Gauss-Hermite nodes of each 1-D rule.  Per axis, a tangent of w is a
+# polynomial of degree <= 4 times the Gaussians, u.grad w of degree <= 3 and
+# lap w of degree <= 4, and every integrand multiplies two such factors:
+# degree <= 8 per axis.  n nodes are exact through degree 2n - 1, so 6 nodes
+# (degree 11) per axis integrate every product exactly.
 PRODUCT_NODES = 6
 
 
 @lru_cache(maxsize=8)
-def _hermite_rule(nodes_per_axis: int):
-    """Tensor Gauss-Hermite nodes z, shape (K, 2), and weights w e^{|z|^2}:
-    sum_k w_k g(z_k) = integral g dz for g = poly(z) exp(-|z|^2), exact
-    through degree 2 * nodes_per_axis - 1 per axis.  Cached: a pure
-    function of the node count, used by every assemble."""
-    z, w = np.polynomial.hermite.hermgauss(nodes_per_axis)
+def _hermite_rule(nodes: int):
+    """1-D Gauss-Hermite nodes z and weights w e^{z^2}:
+    sum_k w_k g(z_k) = integral g dz for g = poly(z) exp(-z^2), exact
+    through degree 2 * nodes - 1.  Cached: a pure function of the node
+    count, used by every assemble."""
+    z, w = np.polynomial.hermite.hermgauss(nodes)
     w = w * np.exp(z**2)
-    zx, zy = np.meshgrid(z, z, indexing="ij")
-    nodes, weights = np.column_stack([zx.ravel(), zy.ravel()]), np.outer(w, w).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
 
 
-def _product_rules(L, centers, members, z, wz):
-    """Nodes (G, K, 2) and weights (G, K) that integrate a polynomial times
-    prod_{m in members[g]} exp(-|x - x_m|^2 / L_m^2) exactly over the plane.
+# The fields of one vortex as sums of sign * A_v D^(a,b) G_v, written
+# (sign, a, b); D^(a,b) G_v = X_a(x) Y_b(y) (`VortexStreamFunction.axis_factors`).
+_PSI_X = ((1, 1, 0),)
+_PSI_Y = ((1, 0, 1),)
+_W = ((-1, 2, 0), (-1, 0, 2))
+_W_X = ((-1, 3, 0), (-1, 1, 2))
+_W_Y = ((-1, 2, 1), (-1, 0, 3))
+_LAP_W = ((-1, 4, 0), (-2, 2, 2), (-1, 0, 4))
+_XL = 5        # XL_a is row 5 + a of `axis_factors`, X_a row a
 
-    That product is C exp(-p |x - c|^2) with precision p = sum 1/L_m^2 and
-    centre c = sum (x_m / L_m^2) / p; with x = c + z / sqrt(p), dx = dz / p.
-    """
-    prec = 1.0 / L[members] ** 2
-    p = prec.sum(axis=1)
-    c = np.einsum("gr,grd->gd", prec, centers[members]) / p[:, None]
-    return c[:, None, :] + z / np.sqrt(p)[:, None, None], wz / p[:, None]
+
+def _value(field):
+    """The field as one row of terms (sign, coefficient, x factor, y factor);
+    coefficient 0 is 1, 1 is A_v and 2 is A_v / L_v."""
+    return (tuple((s, 1, a, b) for s, a, b in field),)
+
+
+def _tangents(field):
+    """The field's tangents along A_v, L_v, x_v and y_v, as four rows."""
+    return (
+        tuple((s, 0, a, b) for s, a, b in field),
+        tuple(t for s, a, b in field for t in ((s, 2, _XL + a, b), (s, 2, a, _XL + b))),
+        tuple((-s, 1, a + 1, b) for s, a, b in field),
+        tuple((-s, 1, a, b + 1) for s, a, b in field),
+    )
+
+
+class _Rows(NamedTuple):
+    """Rows of terms compiled: the distinct terms' coefficients and x and
+    y factors, and the (rows, terms) matrix of their signs."""
+
+    coefficient: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    signs: np.ndarray
+
+
+def _compile(rows) -> _Rows:
+    terms = sorted({t[1:] for row in rows for t in row})
+    at = {t: k for k, t in enumerate(terms)}
+    signs = np.zeros((len(rows), len(terms)))
+    for r, row in enumerate(rows):
+        for s, *t in row:
+            signs[r, at[tuple(t)]] += s
+    return _Rows(*np.array(terms).T, signs)
+
+
+# Rows of the pair integrals <left_i, right_j>.  Left: the tangents of w,
+# psi_x and psi_y (0-3, 4-7, 8-11), then psi_x, psi_y, w, lap w (12-15).
+# Right: the tangents of w (0-3), then psi_x, psi_y, w, lap w (4-7).
+_PAIR_LEFT = _compile(
+    _tangents(_W) + _tangents(_PSI_X) + _tangents(_PSI_Y)
+    + _value(_PSI_X) + _value(_PSI_Y) + _value(_W) + _value(_LAP_W)
+)
+_PAIR_RIGHT = _compile(
+    _tangents(_W) + _value(_PSI_X) + _value(_PSI_Y) + _value(_W) + _value(_LAP_W)
+)
+# rows of the first slot of a triple: the tangents of w (0-3), lap w (4)
+_TRIPLE_SITE = _compile(_tangents(_W) + _value(_LAP_W))
+
+
+def _link_terms():
+    """s_jk = u_j . grad w_k + u_k . grad w_j with u = (psi_y, -psi_x) as
+    A_j A_k times a sum of terms sign * X_aj X_ak (x) Y_bj Y_bk (y): the
+    signs (T,) and the factors of j and of k, each (2, T) with the x
+    factors in row 0 and the y factors in row 1."""
+    terms = []
+    for u, grad_w, sign in ((_PSI_Y, _W_X, 1), (_PSI_X, _W_Y, -1)):
+        for on_j, on_k in ((u, grad_w), (grad_w, u)):
+            for sj, aj, bj in on_j:
+                for sk, ak, bk in on_k:
+                    terms.append((sign * sj * sk, aj, ak, bj, bk))
+    sign, aj, ak, bj, bk = np.array(terms).T
+    return sign.astype(float), np.stack([aj, bj]), np.stack([ak, bk])
+
+
+_LINK_SIGN, _LINK_J, _LINK_K = _link_terms()
+
+
+@dataclass(frozen=True, eq=False)
+class _ProductSites:
+    """The Gaussian products of the exact vortex integrals of n vortices.
+
+    Each product multiplies the Gaussians of its members and gets its own
+    Gauss-Hermite rule; each (product, member) is a site, where the
+    member's axis factors are tabulated.  Sites run pairs first, then
+    triples, then quads, each group slot-major."""
+
+    pairs: np.ndarray          # (n^2, 2) ordered pairs (i, j)
+    links: np.ndarray          # (l, 2) j < k
+    triples: np.ndarray        # (n l, 3) i, then a link
+    quad_links: tuple          # the two links of each quad, the first <= the second
+    twice: np.ndarray          # (q,) 2 off the diagonal of the link pairs, else 1
+    membership: np.ndarray     # (products, n) how often each vortex is a member
+    site_vortex: np.ndarray    # (sites,)
+    site_product: np.ndarray   # (sites,)
+
+
+@lru_cache(maxsize=8)
+def _product_sites(nv: int) -> _ProductSites:
+    """Index sets and site maps of `nv` vortices; cached, as they depend on
+    the vortex count alone."""
+    idx = np.arange(nv)
+    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
+    links = np.array([(j, k) for j in idx for k in idx[j + 1:]], dtype=int).reshape(-1, 2)
+    triples = np.column_stack([np.repeat(idx, len(links)), np.tile(links, (nv, 1))])
+    a, b = np.triu_indices(len(links))
+    quads = np.column_stack([links[a], links[b]])
+    groups = (pairs, triples, quads)
+    members = [m.T.ravel() for m in groups]
+    first = np.cumsum([0] + [len(m) for m in groups])
+    site_product = [np.tile(np.arange(len(m)) + lo, m.shape[1]) for m, lo in zip(groups, first)]
+    membership = np.zeros((first[-1], nv))
+    for m, lo in zip(groups, first):
+        np.add.at(membership, (np.arange(len(m))[:, None] + lo, m), 1.0)
+    return _ProductSites(
+        pairs=pairs,
+        links=links,
+        triples=triples,
+        quad_links=(a, b),
+        twice=np.where(a == b, 1.0, 2.0),
+        membership=membership,
+        site_vortex=np.concatenate(members),
+        site_product=np.concatenate(site_product),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,15 +517,34 @@ class VortexIntegrals:
     enstrophy_gradient: np.ndarray   # (n,)
 
 
+def _weighted(rows: _Rows, coefficients):
+    """The rows' signs times each vortex's coefficients (1, A_v, A_v/L_v)
+    of their terms: (n, rows, terms)."""
+    return rows.signs * coefficients[:, None, rows.coefficient]
+
+
+_AXES = np.arange(2)[:, None]
+
+
+def _link_factors(fj, fk):
+    """The link terms' factors on each axis, (2, G, T, K), from the axis
+    factors (2, G, 8, K) of the link's two slots."""
+    return (fj[_AXES, :, _LINK_J] * fk[_AXES, :, _LINK_K]).swapaxes(1, 2)
+
+
 def vortex_integrals(
     family: VortexStreamFunction, q, nu: float, nodes: int = PRODUCT_NODES
 ) -> VortexIntegrals:
     """M, f, ||F||^2 and the fluid invariants with their gradients, exactly.
 
     Vortex v contributes psi_v = A_v G_v, and every integrand is a sum of
-    terms each of which involves a few vortices; each such product gets its
-    own Gauss-Hermite rule (`_product_rules`), and one `family.terms` call
-    evaluates every vortex at the nodes of the products it belongs to:
+    terms each of which involves a few vortices.  The product of their
+    Gaussians is one Gaussian, C exp(-p |x - c|^2), whose Gauss-Hermite rule
+    is the tensor product of two 1-D rules; every Gaussian derivative
+    factors into an x part and a y part, D^(a,b) G_v = X_a(x) Y_b(y), and so
+    do its tangents.  So one `family.axis_factors` call tabulates every
+    vortex at the 1-D nodes of the products it belongs to, and each
+    integral is a sum over term pairs of (x-sum) * (y-sum):
 
     - ordered pairs (i, j): the blocks M_ij, the gradients of energy and
       enstrophy, the viscous forcing nu <T_i, lap w_j> and nu^2 <lap w_i, lap w_j>;
@@ -353,94 +555,70 @@ def vortex_integrals(
     - pairs of links {j, k} <= {l, m}: <s_jk, s_lm> of ||F||^2.
     """
     nv = family.n_vortices
-    L, centers = family.length_scales(q), family.centers(q)
-    idx = np.arange(nv)
-    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
-    links = np.array([(j, k) for j in idx for k in idx[j + 1:]], dtype=int).reshape(-1, 2)
-    n_links = len(links)
-    triples = np.column_stack([np.repeat(idx, n_links), np.tile(links, (nv, 1))])
-    a, b = np.triu_indices(n_links)
-    quads = np.column_stack([links[a], links[b]])
-    groups = (pairs, triples, quads)
-
+    sites = _product_sites(nv)
+    A, L, xc, yc = family.unpack(q)
     z, wz = _hermite_rule(nodes)
-    K = len(wz)
-    points, owners, weights = [], [], []
-    for members in groups:
-        x, w = _product_rules(L, centers, members, z, wz)
-        r = members.shape[1]
-        points.append(np.broadcast_to(x, (r,) + x.shape).reshape(-1, 2))
-        owners.append(np.repeat(members.T, K, axis=1).ravel())
-        weights.append(w)
-    orders = _INVISCID_ORDERS + (_VISCOUS_ORDERS if nu > 0 else ())
-    # tangents are read only on both slots of the pairs and the first slot
-    # of the triples, which are the leading sites
-    n_pair_sites, n_triples = pairs.size * K, len(triples)
-    psi, dpsi = family.terms(
-        np.concatenate(points), q, orders, _W_TANGENT_ORDERS + _U_TANGENT_ORDERS,
-        np.concatenate(owners), n_pair_sites + n_triples * K,
+    # precision p = sum 1/L_m^2 and centre c = sum (x_m / L_m^2) / p of each
+    # product; per axis x = c + z / sqrt(p) and dx = dz / sqrt(p)
+    prec = 1.0 / L**2
+    p = sites.membership @ prec
+    c = sites.membership @ (np.stack([xc, yc], axis=1) * prec[:, None]) / p[:, None]
+    root = np.sqrt(p)
+    weights = wz / root[:, None]                                     # (products, K)
+    at = sites.site_product
+    factors = family.axis_factors(c.T[:, at, None] + z / root[at, None], q, sites.site_vortex)
+
+    # the factors of each group with shape (axis, slot, product, basis, node)
+    n2, n3, n4 = len(sites.pairs), len(sites.triples), len(sites.twice)
+    nb, K = factors.shape[-2:]
+    f2 = factors[:, : 2 * n2].reshape(2, 2, n2, nb, K)
+    f3 = factors[:, 2 * n2 : 2 * n2 + 3 * n3].reshape(2, 3, n3, nb, K)
+    f4 = factors[:, 2 * n2 + 3 * n3 :].reshape(2, 4, n4, nb, K)
+    w2, w3, w4 = weights[:n2, None], weights[n2 : n2 + n3, None], weights[n2 + n3 :, None]
+
+    # ordered pairs: 1-D Grams of slot 0 against slot 1, read once for every
+    # term pair, give <left_i, right_j> for all rows of both sides
+    gram = ((f2[:, 0] * w2) @ f2[:, 1].swapaxes(-1, -2)).reshape(2, n2, nb * nb)
+    left, right = _PAIR_LEFT, _PAIR_RIGHT
+    terms = (gram[0][:, (left.fx[:, None] * nb + right.fx).ravel()]
+             * gram[1][:, (left.fy[:, None] * nb + right.fy).ravel()])
+    coefficients = np.column_stack([np.ones(nv), A, A / L])
+    i, j = sites.pairs.T
+    out = (
+        _weighted(left, coefficients)[i]
+        @ terms.reshape(n2, len(left.fx), len(right.fx))
+        @ _weighted(right, coefficients)[j].swapaxes(-1, -2)
     )
+    out = out.reshape((nv, nv) + out.shape[1:])
+    M = out[:, :, :4, :4].transpose(0, 2, 1, 3).reshape(family.n, family.n)
+    energy_gradient = (out[:, :, 4:8, 4] + out[:, :, 8:12, 5]).sum(axis=1).ravel()
+    enstrophy_gradient = out[:, :, :4, 6].sum(axis=1).ravel()
+    energy = 0.5 * float(np.sum(out[:, :, 12, 4] + out[:, :, 13, 5]))
+    enstrophy = 0.5 * float(np.sum(out[:, :, 14, 6]))
 
-    # per-site fields, each cut into the three groups with shape
-    # (slot, product, node), and tangents cut into (4, slot, product, node)
-    # on the pairs and (4, product, node) on the first slot of the triples
-    bounds = np.cumsum([0] + [m.size * K for m in groups])
-
-    def cut(table):
-        return [
-            table[..., lo:hi].reshape(table.shape[:-1] + (m.shape[1], len(m), K))
-            for m, lo, hi in zip(groups, bounds[:-1], bounds[1:])
-        ]
-
-    px, py = cut(psi[1, 0]), cut(psi[0, 1])
-    vort = cut(-(psi[2, 0] + psi[0, 2]))
-    wx = cut(-(psi[3, 0] + psi[1, 2]))
-    wy = cut(-(psi[2, 1] + psi[0, 3]))
-
-    def cut_tangents(table):
-        return (
-            table[:, :n_pair_sites].reshape(4, 2, len(pairs), K),
-            table[:, n_pair_sites:].reshape(4, n_triples, K),
-        )
-
-    T = cut_tangents(-(dpsi[2, 0] + dpsi[0, 2]))
-    Tpx, Tpy = cut_tangents(dpsi[1, 0]), cut_tangents(dpsi[0, 1])
-
-    def advect(g, j, k):
-        """u_j . grad w_k + u_k . grad w_j on the slots j, k of group g."""
-        return (py[g][j] * wx[g][k] - px[g][j] * wy[g][k]
-                + py[g][k] * wx[g][j] - px[g][k] * wy[g][j])
-
-    def per_vortex(T_slot, values):
-        """sum over the products and nodes of one group of T * values, added
-        up per vortex of the first slot: the (n,) gradient-shaped sum."""
-        per_product = np.einsum("agk,gk->ga", T_slot, values)
-        return per_product.reshape(nv, len(per_product) // nv, 4).sum(axis=1).ravel()
-
-    w2, w3, w4 = weights
-    # ordered pairs: slot 0 is i, slot 1 is j
-    Tw = (T[0][:, 0] * w2).transpose(1, 0, 2)              # (G, 4, K)
-    blocks = Tw @ T[0][:, 1].transpose(1, 2, 0)            # (G, 4, 4)
-    M = blocks.reshape(nv, nv, 4, 4).transpose(0, 2, 1, 3).reshape(family.n, family.n)
-    energy_gradient = per_vortex(Tpx[0][:, 0], w2 * px[0][1]) + per_vortex(
-        Tpy[0][:, 0], w2 * py[0][1]
+    # triples: slot 0 is i, slots 1 and 2 the link j < k; 1-D Grams of the
+    # site terms against the link terms
+    links = _link_factors(f3[:, 1], f3[:, 2])                      # (2, n3, T, K)
+    gram3 = (f3[:, 0] * w3) @ links.swapaxes(-1, -2)               # (2, n3, nb, T)
+    i, j, k = sites.triples.T
+    site = _weighted(_TRIPLE_SITE, coefficients)[i] @ (
+        gram3[0][:, _TRIPLE_SITE.fx] * gram3[1][:, _TRIPLE_SITE.fy]
     )
-    enstrophy_gradient = per_vortex(T[0][:, 0], w2 * vort[0][1])
-    energy = 0.5 * float(np.sum(w2 * (px[0][0] * px[0][1] + py[0][0] * py[0][1])))
-    enstrophy = 0.5 * float(np.sum(w2 * vort[0][0] * vort[0][1]))
+    s3 = (site @ _LINK_SIGN) * (A[j] * A[k])[:, None]              # (n3, 5) <rows_i, s_jk>
+    f = -s3[:, :4].reshape(nv, len(sites.links), 4).sum(axis=1).ravel()
 
-    # triples: slot 0 is i, slots 1 and 2 the link j < k
-    s3 = advect(1, 1, 2)
-    f = -per_vortex(T[1], w3 * s3)
     # pairs of links: slots 0, 1 and 2, 3; off-diagonal pairs count twice
-    twice = np.where(a == b, 1.0, 2.0)[:, None]
-    F_norm_sq = float(np.sum(twice * w4 * advect(2, 0, 1) * advect(2, 2, 3)))
+    first, second = _link_factors(f4[:, 0], f4[:, 1]), _link_factors(f4[:, 2], f4[:, 3])
+    gram4 = (first * w4) @ second.swapaxes(-1, -2)                 # (2, n4, T, T)
+    per_quad = (gram4[0] * gram4[1]) @ _LINK_SIGN @ _LINK_SIGN
+    link_A = A[sites.links[:, 0]] * A[sites.links[:, 1]]
+    a, b = sites.quad_links
+    F_norm_sq = float(np.sum(sites.twice * link_A[a] * link_A[b] * per_quad))
 
     if nu > 0:
-        lap = cut(-(psi[4, 0] + 2.0 * psi[2, 2] + psi[0, 4]))
-        f = f + nu * per_vortex(T[0][:, 0], w2 * lap[0][1])
-        F_norm_sq += -2.0 * nu * float(np.sum(w3 * lap[1][0] * s3))
-        F_norm_sq += nu**2 * float(np.sum(w2 * lap[0][0] * lap[0][1]))
+        f = f + nu * out[:, :, :4, 7].sum(axis=1).ravel()
+        F_norm_sq += -2.0 * nu * float(np.sum(s3[:, 4]))
+        F_norm_sq += nu**2 * float(np.sum(out[:, :, 15, 7]))
 
     return VortexIntegrals(
         M=M,

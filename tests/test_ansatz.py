@@ -118,53 +118,81 @@ def test_spatial_derivatives_match_finite_differences(family):
     "family", [VortexStreamFunction(2), VortexStreamFunction(3)], ids=lambda f: f.name
 )
 def test_mixed_tangent_spatial_derivatives(family):
-    # the tangent tables of the kernel, at every point (one row per
-    # parameter) and with one vortex per point (rows A_v, L_v, x_v, y_v),
-    # against central differences of its value tables
+    # the tangent tables of the kernel (one row per parameter) against
+    # central differences of its value tables
     rng = np.random.default_rng(13)
     pts = points_for(family, rng)
-    owners = rng.integers(0, family.n_vortices, len(pts))
     orders = ((1, 0), (0, 1), (2, 0), (0, 2))
     for _ in range(5):
         q = random_params(family, rng)
         _, dpsi = family.terms(pts, q, (), orders)
-        _, dpsi_own = family.terms(pts, q, (), orders, owners)
         for i in range(family.n):
             h = 1e-6 * max(1.0, abs(q[i]))
             qp, qm = q.copy(), q.copy()
             qp[i] += h
             qm[i] -= h
             plus, minus = family.terms(pts, qp, orders, ()), family.terms(pts, qm, orders, ())
-            own_plus = family.terms(pts, qp, orders, (), owners)[0]
-            own_minus = family.terms(pts, qm, orders, (), owners)[0]
-            v, param = divmod(i, 4)
-            mine = owners == v
             for order in orders:
                 fd = (plus[0][order] - minus[0][order]) / (2 * h)
                 exact = dpsi[order][i]
                 scale = np.max(np.abs(exact)) + 1e-12
                 assert np.max(np.abs(exact - fd)) / scale <= FD_TOL
-                fd_own = (own_plus[order] - own_minus[order]) / (2 * h)
-                exact_own = np.where(mine, dpsi_own[order][param], 0.0)
-                assert np.max(np.abs(exact_own - fd_own)) / scale <= FD_TOL
 
 
-def test_vortex_tangent_points_are_the_leading_columns():
-    # tangent tables restricted to the first m points are those columns of
-    # the full tables, bit for bit, and the value tables do not change
-    fam = VortexStreamFunction(3)
-    rng = np.random.default_rng(5)
-    pts = points_for(fam, rng)
-    owners = rng.integers(0, fam.n_vortices, len(pts))
-    q = random_params(fam, rng)
-    orders = ((1, 0), (0, 1), (2, 0), (0, 2))
-    m = len(pts) // 3
-    for vortices in (None, owners):
-        psi, dpsi = fam.terms(pts, q, orders, orders, vortices)
-        psi_m, dpsi_m = fam.terms(pts, q, orders, orders, vortices, tangent_points=m)
-        for o in orders:
-            assert np.array_equal(psi_m[o], psi[o])
-            assert np.array_equal(dpsi_m[o], dpsi[o][:, :m])
+def _factor_products(family, pts, q, owners):
+    """A_v X_a(x) Y_b(y) of each point's own vortex v, and its tangents
+    along (A_v, L_v, x_v, y_v), from the per-axis factors, per order."""
+    A, L = family.unpack(q)[:2]
+    A, L = A[owners], L[owners]
+    # one site per point, with one node on each axis
+    X, Y = family.axis_factors(pts.T[:, :, None], q, owners)[..., 0]   # (sites, bases)
+    XL, YL = X[:, 5:], Y[:, 5:]
+    out = {}
+    for a, b in ((1, 0), (0, 1), (2, 0), (0, 2)):
+        value = A * X[:, a] * Y[:, b]
+        tangents = np.stack([
+            X[:, a] * Y[:, b],
+            A / L * (XL[:, a] * Y[:, b] + X[:, a] * YL[:, b]),
+            -A * X[:, a + 1] * Y[:, b],
+            -A * X[:, a] * Y[:, b + 1],
+        ])
+        out[a, b] = value, tangents
+    return out
+
+
+@pytest.mark.parametrize(
+    "family", [VortexStreamFunction(2), VortexStreamFunction(3)], ids=lambda f: f.name
+)
+def test_vortex_axis_factors_match_finite_differences(family):
+    # A_v X_a(x) Y_b(y) is D^(a,b) psi_v, and its tangents along A_v, L_v,
+    # x_v, y_v built from the factors match central differences of it
+    rng = np.random.default_rng(13)
+    pts = points_for(family, rng)
+    owners = rng.integers(0, family.n_vortices, len(pts))
+    for _ in range(5):
+        q = random_params(family, rng)
+        exact = _factor_products(family, pts, q, owners)
+        for v in range(family.n_vortices):
+            mine = owners == v
+            single = VortexStreamFunction(1)
+            psi, _ = single.terms(pts[mine], q[4 * v : 4 * v + 4], tuple(exact), ())
+            for order, (value, _) in exact.items():
+                scale = np.max(np.abs(value)) + 1e-12
+                assert np.max(np.abs(value[mine] - psi[order])) / scale <= 1e-13
+        for i in range(family.n):
+            h = 1e-6 * max(1.0, abs(q[i]))
+            qp, qm = q.copy(), q.copy()
+            qp[i] += h
+            qm[i] -= h
+            plus = _factor_products(family, pts, qp, owners)
+            minus = _factor_products(family, pts, qm, owners)
+            v, param = divmod(i, 4)
+            mine = owners == v
+            for order, (value, tangents) in exact.items():
+                fd = (plus[order][0] - minus[order][0]) / (2 * h)
+                expected = np.where(mine, tangents[param], 0.0)
+                scale = np.max(np.abs(tangents)) + 1e-12
+                assert np.max(np.abs(expected - fd)) / scale <= FD_TOL
 
 
 def test_sine_point_values():

@@ -277,29 +277,37 @@ def test_fit_multi_start_can_rescue():
 
 
 def _leapfrog_kernel_calls(monkeypatch, model):
-    """Kernel calls of one constrained assemble at the leapfrog q0."""
-    calls = []
-    kernel = VortexStreamFunction.terms
+    """Calls of the rule kernel (`terms`) and of the per-axis kernel
+    (`axis_factors`) in one constrained assemble at the leapfrog q0."""
+    calls = {"terms": 0, "axis_factors": 0}
 
-    def counted(self, *args):
-        calls.append(1)
-        return kernel(self, *args)
+    def counted(name):
+        kernel = getattr(VortexStreamFunction, name)
 
-    monkeypatch.setattr(VortexStreamFunction, "terms", counted)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return kernel(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(VortexStreamFunction, name, counted(name))
     q0 = np.asarray(EXPERIMENTS["euler-leapfrog"].defaults["q0"], dtype=float)
     rule = box_rule((-2.5, -2.5), (2.5, 2.5), 40)
     system = assemble(VortexStreamFunction(4), q0, model, rule, model.conserved)
     assert system.constraints.gradients.shape == (16, 2)
-    return len(calls)
+    return calls
 
 
 def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
     # the model evaluation and both fluid-invariant gradients share one
     # table of Gaussian derivatives
-    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0)) == 1
+    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0))["terms"] == 1
 
 
 def test_exact_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
-    # the pair and triple products of M, f and both gradients share one
-    # table of Gaussian derivatives
-    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0, exact=True)) == 1
+    # the pair, triple and link-pair products of M, f, ||F||^2 and both
+    # gradients share one build of the per-axis tables, and the rule
+    # kernel is not called
+    calls = _leapfrog_kernel_calls(monkeypatch, vorticity(0.0, exact=True))
+    assert calls == {"terms": 0, "axis_factors": 1}

@@ -236,8 +236,11 @@ def test_rk45_euler_dipole_assembles_each_state_once(assembled_states, tmp_path)
 def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     # the recorder reads the invariants from the assembled system's bundle,
     # so each assemble is the only Gaussian-kernel pass of its state
+    # (the rule kernel `terms` for the quadrature projection, the per-axis
+    # tables `axis_factors` for the exact one)
     module = importlib.import_module("rons.integrate")
-    kernel, original = VortexStreamFunction.terms, module.assemble
+    name = "axis_factors" if exact else "terms"
+    kernel, original = getattr(VortexStreamFunction, name), module.assemble
     kernel_calls, assembles = [], []
 
     def counted_kernel(self, *args):
@@ -248,7 +251,7 @@ def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
         assembles.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(VortexStreamFunction, "terms", counted_kernel)
+    monkeypatch.setattr(VortexStreamFunction, name, counted_kernel)
     monkeypatch.setattr(module, "assemble", counted_assemble)
     defaults = EXPERIMENTS["euler-pair"].defaults
     model = vorticity(defaults["nu"], exact=exact)

@@ -13,6 +13,7 @@ from rons.ansatz import (
 )
 from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
+    PdeModel,
     advection_diffusion,
     euler_invariants,
     nlse,
@@ -384,6 +385,25 @@ def test_vortex_integrals_match_quadrature(case):
     ke, ens = euler_invariants()
     assert ke.value(fam, q) == exact["energy"]
     assert ens.value(fam, q) == exact["enstrophy"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(0.1, 0.5), st.floats(2.0, 12.0), st.floats(-0.3, 0.3), st.floats(-3.0, 3.0)
+)
+def test_wave_packet_integrals_match_quadrature(A, L, V, phi):
+    # the closed-form whole-line projection against the Galerkin projection
+    # on a Gauss-Legendre rule of half-width 12 L
+    fam, model = GaussianWavePacket(), nlse()
+    q = np.array([A, L, V, phi])
+    rule = make_rule(real_line(12.0 * L), 1200)
+    exact = model.projection(fam, q, rule, model.conserved)
+    ref = PdeModel.projection(model, fam, q, rule, model.conserved)
+    assert exact.evaluation.rule is None
+    assert _rel_gap(exact.M, ref.M) <= 1e-12
+    assert _rel_gap(exact.f, ref.f) <= 1e-12
+    assert _rel_gap(exact.F_norm_sq, ref.F_norm_sq) <= 1e-12
+    assert np.array_equal(exact.B, ref.B)
 
 
 @settings(max_examples=12, deadline=None)
