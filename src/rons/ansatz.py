@@ -167,6 +167,21 @@ def _hermite_table(s: np.ndarray, kmax: int) -> list[np.ndarray]:
     return table
 
 
+# The rows X_0..X_4, XL_0..XL_2 of `VortexStreamFunction.axis_factors` are
+# r^a poly(s) e^{-s^2}: each poly's coefficients of s^0..s^4, and each a
+_AXIS_POLYNOMIALS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0],          # H_0
+    [0.0, 2.0, 0.0, 0.0, 0.0],          # H_1
+    [-2.0, 0.0, 4.0, 0.0, 0.0],         # H_2
+    [0.0, -12.0, 0.0, 8.0, 0.0],        # H_3
+    [12.0, 0.0, -48.0, 0.0, 16.0],      # H_4
+    [0.0, 0.0, 2.0, 0.0, 0.0],          # 2 s^2 H_0
+    [0.0, -4.0, 0.0, 4.0, 0.0],         # (2 s^2 - 1) H_1 - 2 s H_0
+    [4.0, 0.0, -20.0, 0.0, 8.0],        # (2 s^2 - 2) H_2 - 4 s H_1
+])
+_AXIS_R_POWERS = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+
+
 class SineWave(AnsatzFamily):
     """u(x; A, L, phi) = A sin(x / L + phi) on a periodic interval."""
 
@@ -181,14 +196,9 @@ class SineWave(AnsatzFamily):
             return f"length scale L = {L} must be positive"
         return None
 
-    @staticmethod
-    def _phase(points, q):
-        A, L, phi = q
-        return np.asarray(points) / L + phi
-
     def evaluate(self, points, q):
         A, L, phi = q
-        return A * np.sin(self._phase(points, q))
+        return A * np.sin(np.asarray(points) / L + phi)
 
     def tangent(self, points, q, i):
         A, L, phi = q
@@ -403,42 +413,33 @@ class VortexStreamFunction(AnsatzFamily):
             dpsi[a, b] = d.reshape(-1, s2.shape[1])
         return psi, dpsi
 
-    def axis_factors(self, nodes, q, vortices):
-        """The 1-D factors of each site's vortex on that site's nodes.
+    def axis_factors(self, nodes, q):
+        """The 1-D factors of each vortex on its own nodes.
 
-        `nodes` has shape (2, S, K): the x and the y coordinates of K nodes
-        for each of S sites, and `vortices` (S,) names each site's vortex.
-        Returns shape (2, S, 8, K).  On the x axis, with
-        s = (x - x_v)/L_v, rows 0..4 hold
-
-            X_a = (-1/L_v)^a H_a(s) e^{-s^2},
-
-        and rows 5..7 hold XL_a = L_v dX_a/dL_v for a = 0..2,
-
-            XL_a = (2 s^2 - a) X_a + 2a (s/L_v) X_{a-1};
-
-        the y axis likewise with y_v.  Every Gaussian derivative factors,
-        D^(a,b) G_v = X_a(x) Y_b(y), and so do its tangents: along A_v the
-        factor itself, along x_v and y_v -A_v X_{a+1} Y_b and
+        `nodes` (2, n_vortices, N) holds the x and y coordinates of N nodes
+        per vortex.  The result (8, 2, n_vortices, N) holds on the x axis of
+        vortex v, with s = (x - x_v)/L_v and r = -1/L_v, the rows
+        X_a = r^a H_a(s) e^{-s^2} for a = 0..4 and then
+        XL_a = L_v dX_a/dL_v = (2 s^2 - a) X_a + 2a (s/L_v) X_{a-1} for
+        a = 0..2, each r^a times a fixed polynomial of s (`_AXIS_POLYNOMIALS`)
+        times e^{-s^2}; likewise on the y axis.  Every Gaussian derivative
+        factors, D^(a,b) G_v = X_a(x) Y_b(y), and so do its tangents: along
+        A_v the factor itself, along x_v and y_v -A_v X_{a+1} Y_b and
         -A_v X_a Y_{b+1}, along L_v (A_v/L_v)(XL_a Y_b + X_a YL_b).
         """
-        site = np.asarray(q, dtype=float).reshape(self.n_vortices, 4)[vortices]
-        r = -1.0 / site[:, 1:2]                                # (S, 1): -1/L_v
-        s = (nodes - site[:, 2:].T[:, :, None]) * -r
-        X = np.empty((8,) + s.shape)
-        np.exp(-(s * s), out=X[0])
-        scaled = X[0]                                          # r^a e^{-s^2}
-        for a, H in enumerate(_hermite_table(s, 4)[1:], start=1):
-            scaled = r * scaled
-            np.multiply(H, scaled, out=X[a])
-        # XL_a = (2 s^2 - a) X_a + 2a (s/L) X_{a-1}
-        two_s2, two_sL = 2.0 * s * s, -2.0 * r * s
-        np.multiply(two_s2, X[0], out=X[5])
-        np.multiply(two_s2 - 1.0, X[1], out=X[6])
-        X[6] += two_sL * X[0]
-        np.multiply(two_s2 - 2.0, X[2], out=X[7])
-        X[7] += 2.0 * two_sL * X[1]
-        return X.transpose(1, 2, 0, 3)
+        params = np.asarray(q, dtype=float).reshape(self.n_vortices, 4)
+        r = -1.0 / params[:, 1]
+        s = (nodes - params[:, 2:].T[:, :, None]) * -r[:, None]
+        # s^p e^{-s^2} and r^p for p = 0..4, by products
+        powers = np.empty((5,) + s.shape)
+        np.exp(-(s * s), out=powers[0])
+        r_powers = np.ones((5, len(r)))
+        for p in range(1, 5):
+            np.multiply(powers[p - 1], s, out=powers[p])
+            np.multiply(r_powers[p - 1], r, out=r_powers[p])
+        X = (_AXIS_POLYNOMIALS @ powers.reshape(5, -1)).reshape((8,) + s.shape)
+        X *= r_powers[_AXIS_R_POWERS][:, None, :, None]
+        return X
 
     def evaluate(self, points, q):
         return self.terms(points, q, ((0, 0),), ())[0][0, 0]

@@ -12,10 +12,10 @@ quantities I_k enforced it becomes
     qdot = M^-1 (f - sum_k lambda_k grad I_k),    C lambda = b,
 
 where C = B^T M^-1 B and b = B^T M^-1 f with B the matrix of constraint
-gradients.  All solves go through Cholesky factorizations: a factorization
-failure is not a numerical nuisance but a diagnosis (M not SPD means the
-ansatz map stopped being an immersion; C not SPD means the constraint
-gradients became dependent).
+gradients.  `assemble` factors M once and solves it once against [f | B],
+which gives C, b and qdot.  A factorization failure is not a numerical
+nuisance but a diagnosis (M not SPD means the ansatz map stopped being an
+immersion; C not SPD means the constraint gradients became dependent).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ansatz import AnsatzFamily
 from .errors import DependentConstraintsError, FitError, ImmersionError
@@ -50,23 +50,28 @@ _ASYM_WARN = 1e-10
 
 def _symmetrize(mat: np.ndarray, label: str) -> np.ndarray:
     sym = 0.5 * (mat + mat.T)
-    scale = np.max(np.abs(sym))
-    if scale > 0:
-        asym = np.max(np.abs(mat - mat.T)) / scale
-        if asym > _ASYM_WARN:
-            warnings.warn(
-                f"{label} asymmetric at relative level {asym:.2e}; "
-                "quadrature may be inconsistent",
-                stacklevel=3,
-            )
+    asym = np.abs(mat - mat.T).max() / max(np.abs(sym).max(), 1e-300)
+    if asym > _ASYM_WARN:
+        warnings.warn(
+            f"{label} asymmetric at relative level {asym:.2e}; "
+            "quadrature may be inconsistent",
+            stacklevel=3,
+        )
     return sym
 
 
 def _cholesky(mat: np.ndarray, exc_type, label: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as err:
-        raise exc_type(f"{label} is not positive-definite: {err}") from err
+    chol, info = dpotrf(mat, lower=1, clean=1)
+    if info != 0:
+        raise exc_type(f"{label} is not positive-definite (potrf info {info})")
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    x, info = dpotrs(chol, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"potrs rejected argument {-info}")
+    return x
 
 
 def _cond_estimate(chol: np.ndarray) -> float:
@@ -83,15 +88,11 @@ class MetricTensor:
     cholesky_factor: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
     def condition_estimate(self) -> float:
         return _cond_estimate(self.cholesky_factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self.cholesky_factor, True), rhs)
+        return _cho_solve(self.cholesky_factor, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,29 +106,22 @@ class ConstraintBlock:
     multipliers: np.ndarray      # lambda, shape (m,)
 
     @property
-    def m(self) -> int:
-        return self.gradients.shape[1]
-
-    @property
     def condition_estimate(self) -> float:
         return _cond_estimate(self.cholesky_factor)
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedSystem:
-    """Assembled reduced equations at one parameter vector, with the model
-    projection they were built from."""
+    """Assembled reduced equations at one parameter vector, with their
+    solved qdot and the model projection they were built from."""
 
     q: np.ndarray
     M: MetricTensor
     f: np.ndarray
     constraints: ConstraintBlock | None
+    qdot: np.ndarray
     projection: Projection = field(repr=False)
     jittered: bool = False
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,7 @@ def assemble(
     *,
     jitter: float = 0.0,
 ) -> ReducedSystem:
-    """Build M, f and (optionally) the constraint block at q.
+    """Build M, f and (optionally) the constraint block at q, and solve qdot.
 
     `quantities` is a sequence of ConservedQuantity objects whose gradients
     must be linearly independent; dependence is detected by the Cholesky
@@ -168,6 +162,10 @@ def assemble(
     qv = family.require_valid(q)
     quantities = tuple(quantities)
     proj = model.projection(family, qv, rule, quantities)
+    f, B = proj.f, proj.B
+    rhs = np.concatenate((f[:, None], B), axis=1)
+    if not (np.isfinite(proj.M).all() and np.isfinite(rhs).all()):
+        raise ValueError("non-finite entries in M, f or the constraint gradients")
 
     M_entries = _symmetrize(proj.M, "metric tensor")
     if jitter > 0.0:
@@ -176,24 +174,24 @@ def assemble(
         )
         warnings.warn(f"metric tensor jittered by {jitter:.1e} (exploratory mode)")
     chol = _cholesky(M_entries, ImmersionError, "metric tensor")
-    M = MetricTensor(M_entries, chol)
-    f = proj.f
+    solved = _cho_solve(chol, rhs)                     # M^-1 [f | B]
+    qdot, Minv_B = solved[:, 0], solved[:, 1:]
 
     block = None
     if quantities:
-        B = proj.B
-        Minv_B = M.solve(B)
         C = _symmetrize(B.T @ Minv_B, "constraint matrix")
         chol_C = _cholesky(C, DependentConstraintsError, "constraint matrix")
-        b = B.T @ M.solve(f)
-        lam = cho_solve((chol_C, True), b)
+        b = B.T @ qdot
+        lam = _cho_solve(chol_C, b)
+        qdot = qdot - Minv_B @ lam
         block = ConstraintBlock(B, C, chol_C, b, lam)
 
     return ReducedSystem(
         q=qv,
-        M=M,
+        M=MetricTensor(M_entries, chol),
         f=f,
         constraints=block,
+        qdot=qdot,
         projection=proj,
         jittered=jitter > 0.0,
     )
@@ -201,11 +199,7 @@ def assemble(
 
 def reduced_rhs(system: ReducedSystem) -> np.ndarray:
     """Optimal parameter velocity qdot of the assembled system."""
-    if system.constraints is None:
-        return system.M.solve(system.f)
-    blk = system.constraints
-    qdot = system.M.solve(system.f - blk.gradients @ blk.multipliers)
-    return qdot
+    return system.qdot.copy()
 
 
 def constraint_tangency(system: ReducedSystem, qdot: np.ndarray) -> np.ndarray:

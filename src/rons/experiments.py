@@ -74,11 +74,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The bytes of `csv.writer` over each value's `_fmt`, a row of numbers
+    formatted at once by a "%.17g" line template."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            fh.write((",".join(["%.17g"] * len(row)) % tuple(map(float, row))
+                      if {bool, np.bool_}.isdisjoint(map(type, row))
+                      else ",".join(map(_fmt, row))) + "\r\n")
 
 
 def _write_series(path: Path, times, columns: dict[str, np.ndarray]) -> None:

@@ -58,10 +58,6 @@ class Domain:
         if len(self.extents) != ndim:
             raise ValueError(f"{self.kind} domain needs {ndim} extent(s)")
 
-    @property
-    def dim(self) -> int:
-        return 2 if self.kind == "plane" else 1
-
 
 def periodic_interval(length: float) -> Domain:
     return Domain("periodic", (float(length),))

@@ -310,10 +310,11 @@ def integrate(
     recorder = _Recorder(family, quantities, track_quantities, config)
 
     def rhs(_t, y):
-        if not family.domain_check(y):
-            raise _StageRejected
         recorder.system = None  # release the previous state's tables first
-        recorder.system = assemble(family, y, model, rule, quantities)
+        try:
+            recorder.system = assemble(family, y, model, rule, quantities)
+        except DomainError as exc:                  # a trial stage left the set
+            raise _StageRejected from exc
         return reduced_rhs(recorder.system)
 
     try:
@@ -346,7 +347,7 @@ def integrate(
             partial=recorder.build(),
             cause=exc,
         ) from exc
-    except (DomainError, ImmersionError, DependentConstraintsError) as exc:
+    except (ImmersionError, DependentConstraintsError) as exc:
         raise IntegrationAbort(
             f"reduced equations broke down: {exc}",
             partial=recorder.build(),

@@ -357,9 +357,9 @@ _U_TANGENT_ORDERS = ((1, 0), (0, 1))
 # Gauss-Hermite nodes of each 1-D rule.  Per axis, a tangent of w is a
 # polynomial of degree <= 4 times the Gaussians, u.grad w of degree <= 3 and
 # lap w of degree <= 4, and every integrand multiplies two such factors:
-# degree <= 8 per axis.  n nodes are exact through degree 2n - 1, so 6 nodes
-# (degree 11) per axis integrate every product exactly.
-PRODUCT_NODES = 6
+# degree <= 8 per axis.  n nodes are exact through degree 2n - 1, so 5 nodes
+# (degree 9) per axis integrate every product exactly, and 4 do not.
+PRODUCT_NODES = 5
 
 
 @lru_cache(maxsize=8)
@@ -387,24 +387,25 @@ _XL = 5        # XL_a is row 5 + a of `axis_factors`, X_a row a
 
 
 def _value(field):
-    """The field as one row of terms (sign, coefficient, x factor, y factor);
-    coefficient 0 is 1, 1 is A_v and 2 is A_v / L_v."""
-    return (tuple((s, 1, a, b) for s, a, b in field),)
+    """The field as one row: its coefficient (0 is 1, 1 is A_v and 2 is
+    A_v / L_v), shared by all its terms, and its terms (sign, x factor,
+    y factor)."""
+    return ((1, field),)
 
 
 def _tangents(field):
     """The field's tangents along A_v, L_v, x_v and y_v, as four rows."""
     return (
-        tuple((s, 0, a, b) for s, a, b in field),
-        tuple(t for s, a, b in field for t in ((s, 2, _XL + a, b), (s, 2, a, _XL + b))),
-        tuple((-s, 1, a + 1, b) for s, a, b in field),
-        tuple((-s, 1, a, b + 1) for s, a, b in field),
+        (0, field),
+        (2, tuple(t for s, a, b in field for t in ((s, _XL + a, b), (s, a, _XL + b)))),
+        (1, tuple((-s, a + 1, b) for s, a, b in field)),
+        (1, tuple((-s, a, b + 1) for s, a, b in field)),
     )
 
 
 class _Rows(NamedTuple):
-    """Rows of terms compiled: the distinct terms' coefficients and x and
-    y factors, and the (rows, terms) matrix of their signs."""
+    """Rows of terms compiled: each row's coefficient, the distinct terms'
+    x and y factors, and the (rows, terms) matrix of their signs."""
 
     coefficient: np.ndarray
     fx: np.ndarray
@@ -413,13 +414,13 @@ class _Rows(NamedTuple):
 
 
 def _compile(rows) -> _Rows:
-    terms = sorted({t[1:] for row in rows for t in row})
+    terms = sorted({t[1:] for _, row in rows for t in row})
     at = {t: k for k, t in enumerate(terms)}
     signs = np.zeros((len(rows), len(terms)))
-    for r, row in enumerate(rows):
+    for r, (_, row) in enumerate(rows):
         for s, *t in row:
             signs[r, at[tuple(t)]] += s
-    return _Rows(*np.array(terms).T, signs)
+    return _Rows(np.array([c for c, _ in rows]), *np.array(terms).T, signs)
 
 
 # Rows of the pair integrals <left_i, right_j>.  Left: the tangents of w,
@@ -456,49 +457,70 @@ _LINK_SIGN, _LINK_J, _LINK_K = _link_terms()
 
 @dataclass(frozen=True, eq=False)
 class _ProductSites:
-    """The Gaussian products of the exact vortex integrals of n vortices.
+    """The Gaussian products of the exact vortex integrals of n vortices,
+    K nodes per axis each (pairs, then triples, then quads), and the
+    gathers that contract them.  Vortex v is tabulated in one block of K
+    nodes per membership.  A product's 1-D Grams pair a left and a right
+    operand, each a member's 8 factor rows or a link's 8 terms (a row of j
+    times a row of k): the members of a pair, the first member and the link
+    of a triple, the links of a quad."""
 
-    Each product multiplies the Gaussians of its members and gets its own
-    Gauss-Hermite rule; each (product, member) is a site, where the
-    member's axis factors are tabulated.  Sites run pairs first, then
-    triples, then quads, each group slot-major."""
-
-    pairs: np.ndarray          # (n^2, 2) ordered pairs (i, j)
-    links: np.ndarray          # (l, 2) j < k
-    triples: np.ndarray        # (n l, 3) i, then a link
+    links: np.ndarray          # (l, 2) j < k; triples (i, link) run i-major
     quad_links: tuple          # the two links of each quad, the first <= the second
     twice: np.ndarray          # (q,) 2 off the diagonal of the link pairs, else 1
     membership: np.ndarray     # (products, n) how often each vortex is a member
-    site_vortex: np.ndarray    # (sites,)
-    site_product: np.ndarray   # (sites,)
+    blocks: np.ndarray         # (n, blocks) the product of each block of each vortex
+    left: tuple                # flat table indices of the operands' members,
+    right: tuple               # links' j and links' k, each (., 2, K, 8)
+    pair: np.ndarray           # flat Gram indices, x then y: (2, TL, n^2, TR)
+    triple: np.ndarray         # (2, n l, site terms, link terms)
 
 
 @lru_cache(maxsize=8)
-def _product_sites(nv: int) -> _ProductSites:
-    """Index sets and site maps of `nv` vortices; cached, as they depend on
-    the vortex count alone."""
+def _product_sites(nv: int, K: int) -> _ProductSites:
+    """Index sets and gathers of `nv` vortices with K nodes per axis;
+    cached, as they depend on nothing else."""
     idx = np.arange(nv)
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
     links = np.array([(j, k) for j in idx for k in idx[j + 1:]], dtype=int).reshape(-1, 2)
     triples = np.column_stack([np.repeat(idx, len(links)), np.tile(links, (nv, 1))])
     a, b = np.triu_indices(len(links))
-    quads = np.column_stack([links[a], links[b]])
-    groups = (pairs, triples, quads)
-    members = [m.T.ravel() for m in groups]
-    first = np.cumsum([0] + [len(m) for m in groups])
-    site_product = [np.tile(np.arange(len(m)) + lo, m.shape[1]) for m, lo in zip(groups, first)]
-    membership = np.zeros((first[-1], nv))
-    for m, lo in zip(groups, first):
-        np.add.at(membership, (np.arange(len(m))[:, None] + lo, m), 1.0)
+    groups = (pairs, triples, np.column_stack([links[a], links[b]]))
+    members = np.concatenate([g.ravel() for g in groups])
+    product = np.repeat(np.arange(sum(map(len, groups))), [g.shape[1] for g in groups for _ in g])
+    membership = np.zeros((product[-1] + 1, nv))
+    np.add.at(membership, (product, members), 1.0)
+    # each membership's block (every vortex has as many), and where it
+    # starts in the (8, 2, nv, width) table
+    order = np.argsort(members, kind="stable")
+    block = np.empty_like(members)
+    block[order] = np.arange(len(members)) % (len(members) // nv)
+    width = len(members) // nv * K
+    start = np.split(members * width + block * K, np.cumsum([g.size for g in groups])[:-1])
+    s2, s3, s4 = (st.reshape(g.shape).T for st, g in zip(start, groups))
+
+    def rows(at, basis):
+        """Table indices of the (2, 8) rows `basis` at the offsets `at`."""
+        row = (basis * 2 + np.arange(2)[:, None]) * nv * width
+        return row[:, None, :] + np.arange(K)[:, None] + np.concatenate(at)[:, None, None, None]
+
+    def gram(p, row, column):
+        """Flat (products, 2, 8, 8) Gram indices of x and y (row, column)."""
+        return np.stack([((p * 2 + ax) * 8 + r) * 8 + c for ax, r, c in zip((0, 1), row, column)])
+
+    every = np.tile(np.arange(8), (2, 1))
+    at2, at3 = np.arange(len(pairs))[:, None], len(pairs) + np.arange(len(triples))[:, None, None]
     return _ProductSites(
-        pairs=pairs,
         links=links,
-        triples=triples,
         quad_links=(a, b),
         twice=np.where(a == b, 1.0, 2.0),
         membership=membership,
-        site_vortex=np.concatenate(members),
-        site_product=np.concatenate(site_product),
+        blocks=product[order].reshape(nv, -1),
+        left=(rows([s2[0], s3[0]], every), rows([s4[0]], _LINK_J), rows([s4[1]], _LINK_K)),
+        right=(rows([s2[1]], every), rows([s3[1], s4[2]], _LINK_J), rows([s3[2], s4[3]], _LINK_K)),
+        pair=gram(at2, (_PAIR_LEFT.fx[:, None, None], _PAIR_LEFT.fy[:, None, None]),
+                  (_PAIR_RIGHT.fx, _PAIR_RIGHT.fy)),
+        triple=gram(at3, (_TRIPLE_SITE.fx[:, None], _TRIPLE_SITE.fy[:, None]), every),
     )
 
 
@@ -517,19 +539,12 @@ class VortexIntegrals:
     enstrophy_gradient: np.ndarray   # (n,)
 
 
-def _weighted(rows: _Rows, coefficients):
-    """The rows' signs times each vortex's coefficients (1, A_v, A_v/L_v)
-    of their terms: (n, rows, terms)."""
-    return rows.signs * coefficients[:, None, rows.coefficient]
-
-
-_AXES = np.arange(2)[:, None]
-
-
-def _link_factors(fj, fk):
-    """The link terms' factors on each axis, (2, G, T, K), from the axis
-    factors (2, G, 8, K) of the link's two slots."""
-    return (fj[_AXES, :, _LINK_J] * fk[_AXES, :, _LINK_K]).swapaxes(1, 2)
+def _operand(table, members, j, k):
+    """One side of all 1-D Grams: the members' rows, then the links' terms."""
+    out = np.empty((len(members) + len(j),) + members.shape[1:])
+    np.take(table, members, out=out[: len(members)])
+    np.multiply(table[j], table[k], out=out[len(members):])
+    return out
 
 
 def vortex_integrals(
@@ -555,70 +570,58 @@ def vortex_integrals(
     - pairs of links {j, k} <= {l, m}: <s_jk, s_lm> of ||F||^2.
     """
     nv = family.n_vortices
-    sites = _product_sites(nv)
-    A, L, xc, yc = family.unpack(q)
+    sites = _product_sites(nv, nodes)
+    params = np.asarray(q, dtype=float).reshape(nv, 4)
+    A, L = params[:, 0], params[:, 1]
     z, wz = _hermite_rule(nodes)
     # precision p = sum 1/L_m^2 and centre c = sum (x_m / L_m^2) / p of each
     # product; per axis x = c + z / sqrt(p) and dx = dz / sqrt(p)
-    prec = 1.0 / L**2
+    prec = 1.0 / (L * L)
     p = sites.membership @ prec
-    c = sites.membership @ (np.stack([xc, yc], axis=1) * prec[:, None]) / p[:, None]
+    c = sites.membership @ (params[:, 2:] * prec[:, None]) / p[:, None]
     root = np.sqrt(p)
-    weights = wz / root[:, None]                                     # (products, K)
-    at = sites.site_product
-    factors = family.axis_factors(c.T[:, at, None] + z / root[at, None], q, sites.site_vortex)
+    points = (c.T[:, sites.blocks, None] + z / root[sites.blocks, None]).reshape(2, nv, -1)
+    table = family.axis_factors(points, q).ravel()
+    lhs = _operand(table, *sites.left) * (wz / root[:, None])[:, None, :, None]
+    gram = (lhs.swapaxes(-1, -2) @ _operand(table, *sites.right)).ravel()
+    coefficients = np.array([np.ones(nv), A, A / L])
 
-    # the factors of each group with shape (axis, slot, product, basis, node)
-    n2, n3, n4 = len(sites.pairs), len(sites.triples), len(sites.twice)
-    nb, K = factors.shape[-2:]
-    f2 = factors[:, : 2 * n2].reshape(2, 2, n2, nb, K)
-    f3 = factors[:, 2 * n2 : 2 * n2 + 3 * n3].reshape(2, 3, n3, nb, K)
-    f4 = factors[:, 2 * n2 + 3 * n3 :].reshape(2, 4, n4, nb, K)
-    w2, w3, w4 = weights[:n2, None], weights[n2 : n2 + n3, None], weights[n2 + n3 :, None]
-
-    # ordered pairs: 1-D Grams of slot 0 against slot 1, read once for every
-    # term pair, give <left_i, right_j> for all rows of both sides
-    gram = ((f2[:, 0] * w2) @ f2[:, 1].swapaxes(-1, -2)).reshape(2, n2, nb * nb)
+    # ordered pairs: the Grams, read once for every term pair, give
+    # <left_i, right_j> for all rows of both sides, out[row_i, i, j, row_j];
+    # each row's coefficient scales its row (left) or column (right)
     left, right = _PAIR_LEFT, _PAIR_RIGHT
-    terms = (gram[0][:, (left.fx[:, None] * nb + right.fx).ravel()]
-             * gram[1][:, (left.fy[:, None] * nb + right.fy).ravel()])
-    coefficients = np.column_stack([np.ones(nv), A, A / L])
-    i, j = sites.pairs.T
-    out = (
-        _weighted(left, coefficients)[i]
-        @ terms.reshape(n2, len(left.fx), len(right.fx))
-        @ _weighted(right, coefficients)[j].swapaxes(-1, -2)
-    )
-    out = out.reshape((nv, nv) + out.shape[1:])
-    M = out[:, :, :4, :4].transpose(0, 2, 1, 3).reshape(family.n, family.n)
-    energy_gradient = (out[:, :, 4:8, 4] + out[:, :, 8:12, 5]).sum(axis=1).ravel()
-    enstrophy_gradient = out[:, :, :4, 6].sum(axis=1).ravel()
-    energy = 0.5 * float(np.sum(out[:, :, 12, 4] + out[:, :, 13, 5]))
-    enstrophy = 0.5 * float(np.sum(out[:, :, 14, 6]))
+    terms = gram[sites.pair[0]] * gram[sites.pair[1]]             # (TL, n^2, TR)
+    out = (terms.reshape(-1, len(right.fx)) @ right.signs.T).reshape(len(left.fx), -1)
+    out = (left.signs @ out).reshape(len(left.signs), nv, nv, -1)
+    out *= coefficients[left.coefficient, :, None, None]
+    out *= coefficients[right.coefficient].T
+    M = out[:4, :, :, :4].transpose(1, 0, 2, 3).reshape(family.n, family.n)
+    energy_gradient = (out[4:8, :, :, 4] + out[8:12, :, :, 5]).sum(axis=2).T.ravel()
+    enstrophy_gradient = out[:4, :, :, 6].sum(axis=2).T.ravel()
+    energy = 0.5 * float(out[12, :, :, 4].sum() + out[13, :, :, 5].sum())
+    enstrophy = 0.5 * float(out[14, :, :, 6].sum())
 
-    # triples: slot 0 is i, slots 1 and 2 the link j < k; 1-D Grams of the
-    # site terms against the link terms
-    links = _link_factors(f3[:, 1], f3[:, 2])                      # (2, n3, T, K)
-    gram3 = (f3[:, 0] * w3) @ links.swapaxes(-1, -2)               # (2, n3, nb, T)
-    i, j, k = sites.triples.T
-    site = _weighted(_TRIPLE_SITE, coefficients)[i] @ (
-        gram3[0][:, _TRIPLE_SITE.fx] * gram3[1][:, _TRIPLE_SITE.fy]
-    )
-    s3 = (site @ _LINK_SIGN) * (A[j] * A[k])[:, None]              # (n3, 5) <rows_i, s_jk>
-    f = -s3[:, :4].reshape(nv, len(sites.links), 4).sum(axis=1).ravel()
-
-    # pairs of links: slots 0, 1 and 2, 3; off-diagonal pairs count twice
-    first, second = _link_factors(f4[:, 0], f4[:, 1]), _link_factors(f4[:, 2], f4[:, 3])
-    gram4 = (first * w4) @ second.swapaxes(-1, -2)                 # (2, n4, T, T)
-    per_quad = (gram4[0] * gram4[1]) @ _LINK_SIGN @ _LINK_SIGN
+    # triples: slot 0 is i, slots 1 and 2 the link j < k; the site terms
+    # against the link terms, summed over the links of each i
+    site, link_terms = _TRIPLE_SITE, len(_LINK_SIGN)
     link_A = A[sites.links[:, 0]] * A[sites.links[:, 1]]
+    s3 = (gram[sites.triple[0]] * gram[sites.triple[1]]).reshape(-1, link_terms) @ _LINK_SIGN
+    s3 = s3.reshape(-1, len(site.fx)) @ site.signs.T
+    s3 = (s3.reshape(nv, len(link_A), len(site.signs)) * link_A[:, None]).sum(axis=1)
+    s3 *= coefficients[site.coefficient].T                         # (nv, 5) <rows_i, s>
+    f = -s3[:, :4].ravel()
+
+    # pairs of links, the last products: off-diagonal pairs count twice
+    quads = gram.reshape(-1, 2, link_terms, link_terms)[len(sites.membership) - len(sites.twice):]
+    per_quad = (quads[:, 0] * quads[:, 1]).reshape(-1, link_terms) @ _LINK_SIGN
+    per_quad = per_quad.reshape(-1, link_terms) @ _LINK_SIGN
     a, b = sites.quad_links
-    F_norm_sq = float(np.sum(sites.twice * link_A[a] * link_A[b] * per_quad))
+    F_norm_sq = float(per_quad @ (sites.twice * link_A[a] * link_A[b]))
 
     if nu > 0:
-        f = f + nu * out[:, :, :4, 7].sum(axis=1).ravel()
-        F_norm_sq += -2.0 * nu * float(np.sum(s3[:, 4]))
-        F_norm_sq += nu**2 * float(np.sum(out[:, :, 15, 7]))
+        f = f + nu * out[:4, :, :, 7].sum(axis=2).T.ravel()
+        F_norm_sq += -2.0 * nu * float(s3[:, 4].sum())
+        F_norm_sq += nu**2 * float(out[15, :, :, 7].sum())
 
     return VortexIntegrals(
         M=M,

@@ -139,59 +139,64 @@ def test_mixed_tangent_spatial_derivatives(family):
                 assert np.max(np.abs(exact - fd)) / scale <= FD_TOL
 
 
-def _factor_products(family, pts, q, owners):
-    """A_v X_a(x) Y_b(y) of each point's own vortex v, and its tangents
-    along (A_v, L_v, x_v, y_v), from the per-axis factors, per order."""
-    A, L = family.unpack(q)[:2]
-    A, L = A[owners], L[owners]
-    # one site per point, with one node on each axis
-    X, Y = family.axis_factors(pts.T[:, :, None], q, owners)[..., 0]   # (sites, bases)
-    XL, YL = X[:, 5:], Y[:, 5:]
-    out = {}
-    for a, b in ((1, 0), (0, 1), (2, 0), (0, 2)):
-        value = A * X[:, a] * Y[:, b]
-        tangents = np.stack([
-            X[:, a] * Y[:, b],
-            A / L * (XL[:, a] * Y[:, b] + X[:, a] * YL[:, b]),
-            -A * X[:, a + 1] * Y[:, b],
-            -A * X[:, a] * Y[:, b + 1],
+def _factor_products(family, nodes, q):
+    """A_v X_a(x) Y_b(y) of each vortex v on its nodes for a, b <= 4, and
+    for a, b <= 2 its tangents along (A_v, L_v, x_v, y_v), all from the
+    eight rows of the per-axis factors."""
+    A, L = (v[:, None] for v in family.unpack(q)[:2])
+    X, Y = family.axis_factors(nodes, q).swapaxes(0, 1)    # (rows, vortices, nodes)
+    XL, YL = X[5:], Y[5:]
+    values = {(a, b): A * X[a] * Y[b] for a in range(5) for b in range(5)}
+    tangents = {
+        (a, b): np.stack([
+            X[a] * Y[b],
+            A / L * (XL[a] * Y[b] + X[a] * YL[b]),
+            -A * X[a + 1] * Y[b],
+            -A * X[a] * Y[b + 1],
         ])
-        out[a, b] = value, tangents
-    return out
+        for a in range(3)
+        for b in range(3)
+    }
+    return values, tangents
+
+
+def _max_gap(a, b):
+    return np.max(np.abs(a - b)) / (np.max(np.abs(b)) + 1e-12)
 
 
 @pytest.mark.parametrize(
     "family", [VortexStreamFunction(2), VortexStreamFunction(3)], ids=lambda f: f.name
 )
 def test_vortex_axis_factors_match_finite_differences(family):
-    # A_v X_a(x) Y_b(y) is D^(a,b) psi_v, and its tangents along A_v, L_v,
-    # x_v, y_v built from the factors match central differences of it
+    # all eight rows, X_0..X_4 and XL_0..XL_2, on 5 and on 10 nodes per
+    # vortex: A_v X_a(x) Y_b(y) is D^(a,b) psi_v, and its tangents along
+    # A_v, L_v, x_v, y_v built from the factors match the rule kernel's and
+    # central differences of it
     rng = np.random.default_rng(13)
-    pts = points_for(family, rng)
-    owners = rng.integers(0, family.n_vortices, len(pts))
-    for _ in range(5):
+    single = VortexStreamFunction(1)
+    for nodes in (5, 5, 10, 10, 10):
+        points = rng.uniform(-3, 3, size=(2, family.n_vortices, nodes))
         q = random_params(family, rng)
-        exact = _factor_products(family, pts, q, owners)
+        values, tangents = _factor_products(family, points, q)
         for v in range(family.n_vortices):
-            mine = owners == v
-            single = VortexStreamFunction(1)
-            psi, _ = single.terms(pts[mine], q[4 * v : 4 * v + 4], tuple(exact), ())
-            for order, (value, _) in exact.items():
-                scale = np.max(np.abs(value)) + 1e-12
-                assert np.max(np.abs(value[mine] - psi[order])) / scale <= 1e-13
+            psi, dpsi = single.terms(points[:, v].T, q[4 * v : 4 * v + 4], tuple(values), tuple(tangents))
+            for order, value in values.items():
+                assert _max_gap(value[v], psi[order]) <= 1e-13
+            for order, tangent in tangents.items():
+                assert _max_gap(tangent[:, v], dpsi[order]) <= 1e-13
         for i in range(family.n):
             h = 1e-6 * max(1.0, abs(q[i]))
             qp, qm = q.copy(), q.copy()
             qp[i] += h
             qm[i] -= h
-            plus = _factor_products(family, pts, qp, owners)
-            minus = _factor_products(family, pts, qm, owners)
+            plus = _factor_products(family, points, qp)[0]
+            minus = _factor_products(family, points, qm)[0]
             v, param = divmod(i, 4)
-            mine = owners == v
-            for order, (value, tangents) in exact.items():
-                fd = (plus[order][0] - minus[order][0]) / (2 * h)
-                expected = np.where(mine, tangents[param], 0.0)
-                scale = np.max(np.abs(tangents)) + 1e-12
+            mine = (np.arange(family.n_vortices) == v)[:, None]
+            for order, tangent in tangents.items():
+                fd = (plus[order] - minus[order]) / (2 * h)
+                expected = np.where(mine, tangent[param], 0.0)
+                scale = np.max(np.abs(tangent)) + 1e-12
                 assert np.max(np.abs(expected - fd)) / scale <= FD_TOL
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rons.ansatz import (
     GaussianWavePacket,
@@ -26,6 +28,8 @@ from rons.experiments import EXPERIMENTS
 from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
     ConservedQuantity,
+    PdeModel,
+    Projection,
     advection_diffusion,
     nlse,
     vorticity,
@@ -182,6 +186,77 @@ def test_domain_error_propagates():
     rule = make_rule(periodic_interval(2 * np.pi), 64)
     with pytest.raises(DomainError):
         assemble(fam, [1.0, -1.0, 0.0], model, rule)
+
+
+class _Corrupted(PdeModel):
+    """Advection-diffusion whose projection carries one non-finite entry in
+    M, f or B."""
+
+    name = "corrupted"
+
+    def __init__(self, where, value):
+        self.where, self.value = where, value
+        self.base = advection_diffusion(1.0, 0.1)
+
+    def projection(self, family, q, rule=None, quantities=()):
+        proj = self.base.projection(family, q, rule, quantities)
+        parts = {"M": proj.M.copy(), "f": proj.f.copy(), "B": proj.B.copy()}
+        parts[self.where].flat[0] = self.value
+        return Projection(parts["M"], parts["f"], parts["B"], proj.F_norm_sq, proj.evaluation)
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("M", np.nan), ("M", np.inf), ("f", np.nan), ("f", -np.inf), ("B", np.nan), ("B", np.inf)],
+)
+def test_non_finite_system_raises(where, value):
+    fam = SineWave()
+    rule = make_rule(periodic_interval(2 * np.pi), 64)
+    with pytest.raises(ValueError):
+        assemble(fam, [1.0, 1.0, 0.0], _Corrupted(where, value), rule, (_PushAmplitude(),))
+
+
+def _null_space_qdot(system):
+    """The constrained optimum by an independent route: least squares for
+    qdot = N y on a null-space basis N of B^T from numpy's SVD."""
+    M, f, B = system.M.entries, system.f, system.constraints.gradients
+    N = np.linalg.svd(B.T)[2][B.shape[1]:].T
+    return N @ np.linalg.lstsq(N.T @ M @ N, N.T @ f, rcond=None)[0]
+
+
+@st.composite
+def well_conditioned_states(draw):
+    """Wave-packet states, or states of 2 or 4 well-separated vortices with
+    nu = 0 or 0.05, each with its exact model and its conserved set."""
+    if draw(st.booleans()):
+        q = [draw(st.floats(0.1, 0.5)), draw(st.floats(2.0, 12.0)),
+             draw(st.floats(-0.3, 0.3)), draw(st.floats(-3.0, 3.0))]
+        return GaussianWavePacket(), nlse(), np.array(q)
+    fam = VortexStreamFunction(draw(st.sampled_from([2, 4])))
+    q = []
+    for _ in range(fam.n_vortices):
+        q += [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.5)),
+              draw(st.floats(0.5, 1.0)), draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))]
+    q = np.array(q)
+    gaps = np.linalg.norm(fam.centers(q)[:, None] - fam.centers(q)[None], axis=-1)
+    assume(np.min(gaps + 10 * np.eye(fam.n_vortices)) >= 0.5)
+    return fam, vorticity(draw(st.sampled_from([0.0, 0.05])), exact=True), q
+
+
+@settings(max_examples=40, deadline=None)
+@given(well_conditioned_states())
+def test_stacked_solve_matches_null_space_least_squares(case):
+    fam, model, q = case
+    system = assemble(fam, q, model, None, model.conserved)
+    assume(np.linalg.cond(system.M.entries) <= 1e4)
+    qdot = reduced_rhs(system)
+    reference = _null_space_qdot(system)
+    # relative to the unconstrained velocity M^-1 f as well: where the
+    # constraint cancels most of it, qdot carries that rounding
+    free = np.linalg.solve(system.M.entries, system.f)
+    scale = max(np.max(np.abs(reference)), np.max(np.abs(free)))
+    assert np.max(np.abs(qdot - reference)) <= 1e-12 * scale
+    assert np.max(np.abs(constraint_tangency(system, qdot))) <= 1e-12
 
 
 def test_jitter_is_flagged():

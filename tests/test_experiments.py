@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from rons.ansatz import VortexStreamFunction
 from rons.experiments import (
     EXPERIMENTS,
+    _fmt,
+    _write_csv,
     compare,
     list_experiments,
     resolve_config,
@@ -71,6 +74,28 @@ def test_resolve_config_validation():
 def quick_advdiff(tmp_path_factory):
     out = tmp_path_factory.mktemp("advdiff")
     return run({"experiment": "advdiff-exact", "t_end": 2.0}, out_dir=out)
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    # the line-template writer writes the bytes of csv.writer over _fmt
+    header = ["t", "a,b", 'say "x"', "y"]
+    rows = [
+        [0, -7, np.int64(3), 2**60],
+        [True, 1.5, False, -1],
+        [np.bool_(True), 2.5, np.bool_(False), np.float64(-1.0)],
+        [np.nan, np.inf, -np.inf, -0.0],
+        [5e-324, -2.5e-310, np.float64(1e-320), 2.2250738585072014e-308],
+        np.array([0.1, 1 / 3, 1e16, 1.7976931348623157e308]),
+        (0.5,),
+        [],
+    ]
+    _write_csv(tmp_path / "fast.csv", header, rows)
+    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_run_writes_expected_files(quick_advdiff):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rons.ansatz import GaussianWavePacket, SineWave, VortexStreamFunction
-from rons.errors import IntegrationAbort
+from rons.errors import DomainError, IntegrationAbort
 from rons.experiments import EXPERIMENTS, run
 from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
 from rons.integrate import (
@@ -150,6 +150,15 @@ def test_domain_boundary_aborts_with_partial_trajectory(advdiff_setup):
     # L decayed toward the boundary before the abort
     assert partial.states[-1][1] < 1.0
     assert partial.times[-1] < 2.0
+    # the stages past the boundary were rejected steps, not a breakdown of
+    # the reduced equations; with two halvings allowed the abort names the
+    # admissible set and carries the rejected stage's domain error
+    assert "reduced equations broke down" not in str(excinfo.value)
+    few = IntegratorConfig(t_end=2.0, scheme="rk45", rtol=1e-8, atol=1e-10, max_domain_retries=2)
+    with pytest.raises(IntegrationAbort, match="inside the admissible set") as excinfo:
+        integrate(fam, _ShrinkWidth(), rule, (), [1.0, 1.0, 0.0], few)
+    assert isinstance(excinfo.value.cause.__cause__, DomainError)
+    assert len(excinfo.value.partial) >= 1
 
 
 def test_stride_thins_records(advdiff_setup):
