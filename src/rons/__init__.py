@@ -12,12 +12,9 @@ from .ansatz import (
     HeatKernel,
     LinearModes,
     Mode,
-    ParameterVector,
     SineWave,
     VortexStreamFunction,
-    builtin_families,
     fourier_modes,
-    sample,
 )
 from .engine import (
     FitResult,
@@ -42,7 +39,6 @@ from .errors import (
 )
 from .hilbert import (
     Domain,
-    FieldSample,
     QuadratureRule,
     inner_product,
     make_rule,
@@ -51,7 +47,7 @@ from .hilbert import (
     plane,
     real_line,
 )
-from .integrate import IntegratorConfig, Trajectory, dense_eval, integrate
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .models import (
     AdvectionDiffusion,
     ConservedQuantity,

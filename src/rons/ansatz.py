@@ -30,10 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .hilbert import FieldSample, QuadratureRule
 
 __all__ = [
-    "ParameterVector",
     "AnsatzFamily",
     "SineWave",
     "HeatKernel",
@@ -42,43 +40,11 @@ __all__ = [
     "LinearModes",
     "Mode",
     "fourier_modes",
-    "sample",
-    "builtin_families",
-    "param_values",
 ]
 
 # admissibility margin for open-set boundaries such as L > 0; integration
 # aborts rather than clamping, so the margin only guards against exact zeros
 _EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """Named parameter values of an ansatz family."""
-
-    values: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(self.labels):
-            raise ValueError("values and labels must have equal length")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("parameter values must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.labels, map(float, self.values)))
-
-
-def param_values(q) -> np.ndarray:
-    """Coerce a ParameterVector or array-like to a float array."""
-    if isinstance(q, ParameterVector):
-        return q.values
-    return np.asarray(q, dtype=float)
 
 
 class AnsatzFamily:
@@ -103,7 +69,7 @@ class AnsatzFamily:
         raise NotImplementedError
 
     def domain_check(self, q) -> bool:
-        q = param_values(q)
+        q = np.asarray(q, dtype=float)
         if len(q) != self.n:
             return False
         if not np.all(np.isfinite(q)):
@@ -111,7 +77,7 @@ class AnsatzFamily:
         return self.domain_violation(q) is None
 
     def require_valid(self, q) -> np.ndarray:
-        q = param_values(q)
+        q = np.asarray(q, dtype=float)
         if len(q) != self.n:
             raise DomainError(
                 f"{self.name}: expected {self.n} parameters, got {len(q)}"
@@ -138,15 +104,6 @@ class AnsatzFamily:
     def spatial_derivative(self, points, q, order) -> np.ndarray:
         """Spatial derivative; `order` is an int in 1D, an (ax, ay) pair in 2D."""
         raise NotImplementedError
-
-    def params(self, *values) -> ParameterVector:
-        return ParameterVector(np.asarray(values, dtype=float), self.labels)
-
-
-def sample(family: AnsatzFamily, q, rule: QuadratureRule) -> FieldSample:
-    """Evaluate the ansatz at every node of the rule."""
-    qv = family.require_valid(q)
-    return FieldSample(family.evaluate(rule.nodes, qv))
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +484,3 @@ def fourier_modes(length: float, count: int) -> list[Mode]:
             modes.append(make("cos", k))
         k += 1
     return modes
-
-
-def builtin_families() -> dict[str, Callable]:
-    """Catalog of the built-in ansatz family constructors."""
-    return {
-        "sine-wave": SineWave,
-        "heat-kernel": HeatKernel,
-        "gaussian-wave-packet": GaussianWavePacket,
-        "vortex-stream-function": VortexStreamFunction,
-        "linear-modes": LinearModes,
-    }

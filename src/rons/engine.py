@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ansatz import AnsatzFamily
 from .errors import DependentConstraintsError, FitError, ImmersionError
-from .hilbert import QuadratureRule, field_values
+from .hilbert import QuadratureRule
 from .models import ModelEvaluation, PdeModel, Projection
 
 __all__ = [
@@ -277,7 +277,7 @@ def fit_initial(
     the problem can be non-convex, so a bad basin is reported honestly via
     FitError carrying the best iterate found.
     """
-    u0 = field_values(u0)
+    u0 = np.asarray(u0)
     q_guess = family.require_valid(q_guess)
     rng = np.random.default_rng(seed)
 

@@ -10,8 +10,9 @@ reference oracle, and writes into its output directory:
     series_*.csv      named time series used by `compare`
     summary.json      metrics + file manifest, schema-validated
 
-CSV values carry 17 significant digits so reruns of the same config and
-version are byte-identical.
+Every CSV is a header row and one float table, each value at 17
+significant digits, so reruns of the same config and version are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -67,27 +68,13 @@ __all__ = [
 ]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The bytes of `csv.writer` over each value's `_fmt`, a row of numbers
-    formatted at once by a "%.17g" line template."""
+def _write_csv(path: Path, header: list[str], table) -> None:
+    """The header as a csv row, then each row of the float table with every
+    value at 17 significant digits ("%.17g"), CRLF line ends as csv.writer."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for row in rows:
-            fh.write((",".join(["%.17g"] * len(row)) % tuple(map(float, row))
-                      if {bool, np.bool_}.isdisjoint(map(type, row))
-                      else ",".join(map(_fmt, row))) + "\r\n")
-
-
-def _write_series(path: Path, times, columns: dict[str, np.ndarray]) -> None:
-    header = ["t"] + list(columns)
-    rows = zip(times, *columns.values())
-    _write_csv(path, header, rows)
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def _read_series(path: Path):
@@ -98,20 +85,6 @@ def _read_series(path: Path):
     return header, data
 
 
-def _trajectory_rows(traj: Trajectory):
-    inv = traj.diagnostics.get("invariants")
-    for i, t in enumerate(traj.times):
-        row = [t, *traj.states[i]]
-        row += [traj.diagnostics["J"][i], traj.diagnostics["J_raw"][i]]
-        if inv is not None and inv.shape[1] >= 1:
-            row.append(inv[i, 0])
-            row.append(inv[i, 1] if inv.shape[1] >= 2 else np.nan)
-        else:
-            row += [np.nan, np.nan]
-        row += [traj.diagnostics["cond_M"][i], traj.diagnostics["cond_C"][i]]
-        yield row
-
-
 def _write_trajectory(path: Path, traj: Trajectory) -> None:
     n = traj.states.shape[1]
     header = (
@@ -119,11 +92,21 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
         + [f"q{i + 1}" for i in range(n)]
         + ["J", "J_raw", "I1", "I2", "cond_M", "cond_C"]
     )
-    _write_csv(path, header, _trajectory_rows(traj))
+    diag = traj.diagnostics
+    inv = np.full((len(traj), 2), np.nan)           # I1, I2: the first two tracked
+    if "invariants" in diag:
+        tracked = diag["invariants"][:, :2]
+        inv[:, : tracked.shape[1]] = tracked
+    table = np.column_stack(
+        [traj.times, traj.states, diag["J"], diag["J_raw"], inv, diag["cond_M"], diag["cond_C"]]
+    )
+    _write_csv(path, header, table)
 
 
-def _snapshot_times(t_end: float, count: int) -> np.ndarray:
-    return np.linspace(0.0, t_end, count)
+def _snapshots(traj: Trajectory, t_end: float, count: int):
+    """(t, q(t)) at `count` equispaced times of [0, t_end]."""
+    ts = np.linspace(0.0, t_end, count)
+    return zip(ts, traj.interpolate(ts))
 
 
 def output_root() -> Path:
@@ -198,10 +181,10 @@ def _integrator_config(config: dict) -> IntegratorConfig:
     )
 
 
-def _uniform_series(traj: Trajectory, column: Callable, n: int = 400):
+def _uniform_series(traj: Trajectory, n: int = 400):
+    """n equispaced times over the run and the interpolated states there."""
     ts = np.linspace(traj.times[0], traj.times[-1], n)
-    vals = np.array([column(traj.interpolate(t)) for t in ts])
-    return ts, vals
+    return ts, traj.interpolate(ts)
 
 
 # -- advdiff-exact ----------------------------------------------------------
@@ -232,27 +215,25 @@ def _run_advdiff(config, out_dir, files, series):
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
     }
 
-    ts, amp = _uniform_series(traj, lambda q: q[0])
-    _write_series(out_dir / "series_rons_amplitude.csv", ts, {"amplitude": amp})
+    ts, qs = _uniform_series(traj)
+    _write_csv(out_dir / "series_rons_amplitude.csv", ["t", "amplitude"], np.column_stack([ts, qs[:, 0]]))
     series["rons_amplitude"] = "series_rons_amplitude.csv"
     amp_ex = A0 * np.exp(-nu * ts / L0**2)
-    _write_series(out_dir / "series_exact_amplitude.csv", ts, {"amplitude": amp_ex})
+    _write_csv(out_dir / "series_exact_amplitude.csv", ["t", "amplitude"], np.column_stack([ts, amp_ex]))
     series["exact_amplitude"] = "series_exact_amplitude.csv"
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     files["trajectory"] = "trajectory.csv"
 
-    snap_rows = []
-    for t in _snapshot_times(config["t_end"], config["snapshots"]):
-        q = traj.interpolate(t)
+    fields = []
+    for t, q in _snapshots(traj, config["t_end"], config["snapshots"]):
         u = family.evaluate(rule.nodes, q)
         u_exact = exact_advdiff(A0, L0, c_, nu, rule.nodes, t)
-        snap_rows += [[t, x, uv, ue] for x, uv, ue in zip(rule.nodes, u, u_exact)]
-    _write_csv(out_dir / "fields.csv", ["t", "x", "u", "u_exact"], snap_rows)
+        fields.append(np.column_stack([np.full(len(rule), t), rule.nodes, u, u_exact]))
+    fields = np.vstack(fields)
+    _write_csv(out_dir / "fields.csv", ["t", "x", "u", "u_exact"], fields)
     files["fields"] = "fields.csv"
-    metrics["max_field_err"] = float(
-        np.max([abs(r[2] - r[3]) for r in snap_rows])
-    )
+    metrics["max_field_err"] = float(np.max(np.abs(fields[:, 2] - fields[:, 3])))
     return metrics, {"model": "rons_amplitude", "reference": "exact_amplitude"}
 
 
@@ -272,13 +253,16 @@ def _run_nlse(config, out_dir, files, series):
     length = config["dns_length"]
     x = spectral_grid(length, config["dns_modes"])
     u0 = SpectralState(length, family.evaluate(x, np.asarray(config["q0"])))
-    states = nlse_dns(u0, config["dns_dt"], config["t_end"])
-    dns_t = np.array([s.time for s in states])
-    dns_amp = np.array([abs(s.center_value()) for s in states])
+    dns_t, dns_u = nlse_dns(u0, config["dns_dt"], config["t_end"])
+    # x = 0 lies on the grid for even n; abs of the Python complex, whose
+    # rounding differs from np.abs in the last bit
+    dns_amp = np.array([abs(complex(z)) for z in dns_u[:, len(x) // 2]])
+    dns_mass = [float(np.sum(np.abs(u) ** 2) * u0.dx) for u in (dns_u[0], dns_u[-1])]
 
-    ts, rons_amp = _uniform_series(traj, lambda q: q[0], n=800)
-    _write_series(out_dir / "series_rons_center.csv", ts, {"amp": rons_amp})
-    _write_series(out_dir / "series_dns_center.csv", dns_t, {"amp": dns_amp})
+    ts, qs = _uniform_series(traj, n=800)
+    rons_amp = qs[:, 0]
+    _write_csv(out_dir / "series_rons_center.csv", ["t", "amp"], np.column_stack([ts, rons_amp]))
+    _write_csv(out_dir / "series_dns_center.csv", ["t", "amp"], np.column_stack([dns_t, dns_amp]))
     series["rons_center"] = "series_rons_center.csv"
     series["dns_center"] = "series_dns_center.csv"
 
@@ -300,23 +284,18 @@ def _run_nlse(config, out_dir, files, series):
         "drift_I1": float(drift[0]),
         "drift_I2": float(drift[1]),
         "max_tangency": float(tangency.max()) if tangency is not None else np.nan,
-        "dns_mass_drift": float(
-            abs(states[-1].mass() - states[0].mass()) / states[0].mass()
-        ),
+        "dns_mass_drift": float(abs(dns_mass[1] - dns_mass[0]) / dns_mass[0]),
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
     }
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     files["trajectory"] = "trajectory.csv"
 
-    snap_rows = []
-    for t in _snapshot_times(config["t_end"], config["snapshots"]):
-        q = traj.interpolate(t)
+    fields = []
+    for t, q in _snapshots(traj, config["t_end"], config["snapshots"]):
         u = family.evaluate(rule.nodes, q)
-        snap_rows += [
-            [t, xx, uu.real, uu.imag] for xx, uu in zip(rule.nodes, u)
-        ]
-    _write_csv(out_dir / "fields.csv", ["t", "x", "re_u", "im_u"], snap_rows)
+        fields.append(np.column_stack([np.full(len(rule), t), rule.nodes, u.real, u.imag]))
+    _write_csv(out_dir / "fields.csv", ["t", "x", "re_u", "im_u"], np.vstack(fields))
     files["fields"] = "fields.csv"
     return metrics, {"model": "rons_center", "reference": "dns_center"}
 
@@ -346,18 +325,10 @@ def _rel_gap(value, ref):
     return float(abs(value - ref) / abs(ref))
 
 
-def _write_tracks(path: Path, times, centers) -> None:
-    """Vortex center paths `x1, y1, x2, y2, ...`; centers has shape (T, N, 2)."""
-    cols = {}
-    for i in range(centers.shape[1]):
-        cols[f"x{i + 1}"] = centers[:, i, 0]
-        cols[f"y{i + 1}"] = centers[:, i, 1]
-    _write_series(path, times, cols)
-
-
 def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     """One euler run; `metrics_of(traj, pv, cores)` adds the experiment's own
-    metrics to the shared ones."""
+    metrics to the shared ones, with pv = (strengths, times, centers) of the
+    point-vortex reference and cores = (X, V) of the core-centroid oracle."""
     family = VortexStreamFunction(n_vortices)
     model = vorticity(config["nu"], exact=True)
     quantities = model.conserved if config["constrained"] else ()
@@ -380,19 +351,22 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     # to zero; `net_circulations` records that, and point vortices with those
     # strengths would not move.
     net, core = _vortex_circulations(family, q0, ev0)
-    pv = point_vortex(
+    pv_t, pv_x = point_vortex(
         PointVortexState(core, family.centers(q0)), config["t_end"] / 400, config["t_end"]
     )
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     files["trajectory"] = "trajectory.csv"
-    rons_centers = traj.states.reshape(-1, n_vortices, 4)[:, :, 2:]
-    _write_tracks(out_dir / "series_rons_tracks.csv", traj.times, rons_centers)
+    # vortex center paths: t, x1, y1, x2, y2, ...
+    tracks = ["t"] + [f"{c}{i + 1}" for i in range(n_vortices) for c in "xy"]
+    rons_x = traj.states.reshape(len(traj), n_vortices, 4)[:, :, 2:]
+    _write_csv(out_dir / "series_rons_tracks.csv", tracks,
+               np.column_stack([traj.times, rons_x.reshape(len(traj), -1)]))
     series["rons_tracks"] = "series_rons_tracks.csv"
-    pv_centers = np.array([s.centers for s in pv])
-    _write_tracks(out_dir / "series_pv_tracks_core.csv", [s.time for s in pv], pv_centers)
+    _write_csv(out_dir / "series_pv_tracks_core.csv", tracks,
+               np.column_stack([pv_t, pv_x.reshape(len(pv_t), -1)]))
     series["pv_tracks_core"] = "series_pv_tracks_core.csv"
-    _write_euler_fields(config, family, model, traj, out_dir, files)
+    _write_euler_fields(config, family, traj, out_dir, files)
 
     drift = traj.invariant_drift()
     amps = traj.states[:, 0::4]
@@ -411,10 +385,10 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
         "core_circulations": [float(g) for g in core],
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
         "hamiltonian_drift_pv_core": float(
-            abs(H(pv[-1]) - H(pv[0])) / max(abs(H(pv[0])), 1e-300)
+            abs(H(core, pv_x[-1]) - H(core, pv_x[0])) / max(abs(H(core, pv_x[0])), 1e-300)
         ),
     }
-    metrics.update(metrics_of(traj, pv, cores))
+    metrics.update(metrics_of(traj, (core, pv_t, pv_x), cores))
     return metrics, {"model": "rons_tracks", "reference": "pv_tracks_core"}
 
 
@@ -426,10 +400,11 @@ def _dipole_metrics(traj, pv, cores):
     direction = disp[-1] / max(total, 1e-300)
     lateral = np.abs(disp[:, 0] * direction[1] - disp[:, 1] * direction[0])
     speeds = np.linalg.norm(np.diff(mid, axis=0), axis=1) / np.diff(traj.times)
-    pv_mid = [0.5 * (s.centers[0] + s.centers[1]) for s in (pv[0], pv[-1])]
+    _, pv_t, pv_x = pv
+    pv_mid = [0.5 * (x[0] + x[1]) for x in (pv_x[0], pv_x[-1])]
     _, V = cores
     v_rons = float(np.mean(speeds))
-    v_pv = float(np.linalg.norm(pv_mid[1] - pv_mid[0]) / (pv[-1].time - pv[0].time))
+    v_pv = float(np.linalg.norm(pv_mid[1] - pv_mid[0]) / (pv_t[-1] - pv_t[0]))
     return {
         "rons_speed": v_rons,
         "speed_rel_variation": float(
@@ -459,9 +434,10 @@ def _pair_metrics(traj, pv, cores):
     omega_windows = [
         _fit_angular_velocity(traj.times[idx], theta[idx]) for idx in thirds
     ]
-    rel_pv = np.array([s.centers[1] - s.centers[0] for s in pv])
+    strengths, pv_t, pv_x = pv
+    rel_pv = pv_x[:, 1] - pv_x[:, 0]
     th_pv = np.unwrap(np.arctan2(rel_pv[:, 1], rel_pv[:, 0]))
-    om_pv = _fit_angular_velocity(np.array([s.time for s in pv]), th_pv)
+    om_pv = _fit_angular_velocity(pv_t, th_pv)
     X, V = cores
     rel_core = X[1] - X[0]
     d_core = float(np.linalg.norm(rel_core))
@@ -475,7 +451,7 @@ def _pair_metrics(traj, pv, cores):
         "revolutions": float((theta[-1] - theta[0]) / (2 * np.pi)),
         "euler_core_angular_velocity": float((V[1] - V[0]) @ perp / d_core),
         "pv_angular_velocity_core": om_pv,
-        "pv_formula_core": float(pv[0].strengths[0] / (np.pi * sep[0] ** 2)),
+        "pv_formula_core": float(strengths[0] / (np.pi * sep[0] ** 2)),
         "omega_rel_gap_pv_core": _rel_gap(omega, om_pv),
     }
 
@@ -494,18 +470,16 @@ def _leapfrog_metrics(traj, pv, cores):
     }
 
 
-def _write_euler_fields(config, family, model, traj, out_dir, files):
-    rows = []
-    for t in _snapshot_times(traj.times[-1], config["snapshots"]):
-        q = traj.interpolate(t)
+def _write_euler_fields(config, family, traj, out_dir, files):
+    """psi and omega = -(psi_xx + psi_yy) on a window around each snapshot
+    state, from one kernel pass per snapshot."""
+    fields = []
+    for t, q in _snapshots(traj, traj.times[-1], config["snapshots"]):
         r = _window_rule(family, q, config["window_pad"], min(config["resolution"], 64))
-        psi = family.evaluate(r.nodes, q)
-        omega = model.evaluation(family, q, r).field
-        rows += [
-            [t, p[0], p[1], ps, om]
-            for p, ps, om in zip(r.nodes, psi, omega)
-        ]
-    _write_csv(out_dir / "fields.csv", ["t", "x", "y", "psi", "omega"], rows)
+        psi, _ = family.terms(r.nodes, q, ((0, 0), (2, 0), (0, 2)), ())
+        omega = -(psi[2, 0] + psi[0, 2])
+        fields.append(np.column_stack([np.full(len(r), t), r.nodes, psi[0, 0], omega]))
+    _write_csv(out_dir / "fields.csv", ["t", "x", "y", "psi", "omega"], np.vstack(fields))
     files["fields"] = "fields.csv"
 
 
@@ -520,7 +494,7 @@ def _run_galerkin(config, out_dir, files, series):
     rng = np.random.default_rng(config["seed"])
 
     max_dev, max_m_dev = 0.0, 0.0
-    rows = []
+    table = np.empty((config["n_states"], 3))
     for k in range(config["n_states"]):
         q = rng.standard_normal(n_modes)
         system = assemble(family, q, model, rule)
@@ -530,10 +504,10 @@ def _run_galerkin(config, out_dir, files, series):
             )
         )
         m_dev = float(np.max(np.abs(system.M.entries - np.eye(n_modes))))
-        rows.append([k, dev, m_dev])
+        table[k] = k, dev, m_dev
         max_dev, max_m_dev = max(max_dev, dev), max(max_m_dev, m_dev)
 
-    _write_csv(out_dir / "trajectory.csv", ["state", "rhs_deviation", "M_identity_deviation"], rows)
+    _write_csv(out_dir / "trajectory.csv", ["state", "rhs_deviation", "M_identity_deviation"], table)
     files["trajectory"] = "trajectory.csv"
     metrics = {
         "n_states": config["n_states"],
@@ -554,7 +528,7 @@ def _fit_decay_rate(times, values):
 def _run_instability(config, out_dir, files, series):
     lams = list(config["lambdas"])
     metrics = {"lambdas": lams}
-    rows = []
+    tables = []
     growth, growth_seeded, decay = [], [], []
     for lam in lams:
         t_end = config["t_horizon_over_lambda"] / lam
@@ -577,8 +551,7 @@ def _run_instability(config, out_dir, files, series):
             IntegratorConfig(t_end=4.0 / lam, rtol=config["rtol"], atol=config["atol"]),
         )
         decay.append(_fit_decay_rate(traj.times, traj.states[:, 0]))
-        for t, qv in zip(res.times, res.q[:, 0]):
-            rows.append([lam, t, qv])
+        tables.append(np.column_stack([np.full(len(res.times), lam), res.times, res.q[:, 0]]))
     metrics.update(
         {
             "fitted_growth_rates": growth,
@@ -595,7 +568,7 @@ def _run_instability(config, out_dir, files, series):
             ),
         }
     )
-    _write_csv(out_dir / "trajectory.csv", ["lambda", "t", "q"], rows)
+    _write_csv(out_dir / "trajectory.csv", ["lambda", "t", "q"], np.vstack(tables))
     files["trajectory"] = "trajectory.csv"
     return metrics, {}
 
@@ -635,10 +608,11 @@ def _run_fit_demo(config, out_dir, files, series):
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    rows = [
-        [x, u, ut] for x, u, ut in zip(rule.nodes, u0, family.evaluate(rule.nodes, result.q))
-    ]
-    _write_csv(out_dir / "fields.csv", ["x", "u_target", "u_fit"], rows)
+    _write_csv(
+        out_dir / "fields.csv",
+        ["x", "u_target", "u_fit"],
+        np.column_stack([rule.nodes, u0, family.evaluate(rule.nodes, result.q)]),
+    )
     files["fields"] = "fields.csv"
     return metrics, {}
 
@@ -843,6 +817,14 @@ def resolve_config(config: dict) -> dict:
         raise ValueError("resolution must be >= 2")
     if "nu" in resolved and resolved["nu"] < 0:
         raise ValueError("nu must be >= 0")
+    if resolved["snapshots"] < 1:
+        raise ValueError("snapshots must be >= 1")
+    if "dns_dt" in resolved and resolved["dns_dt"] <= 0:
+        raise ValueError("dns_dt must be positive")
+    if "lambdas" in resolved and (not resolved["lambdas"] or min(resolved["lambdas"]) <= 0):
+        raise ValueError("lambdas must be a non-empty list of positive rates")
+    if "t_end" in resolved:
+        _integrator_config(resolved)    # scheme, dt and stride, as the run uses them
     return resolved
 
 

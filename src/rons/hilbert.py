@@ -30,7 +30,6 @@ __all__ = [
     "real_line",
     "plane",
     "QuadratureRule",
-    "FieldSample",
     "make_rule",
     "inner_product",
     "norm_sq",
@@ -80,7 +79,6 @@ class QuadratureRule:
     nodes has shape (P,) in 1D and (P, 2) in 2D; weights has shape (P,).
     """
 
-    domain: Domain
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -98,22 +96,6 @@ class QuadratureRule:
         return len(self.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """A field evaluated on the nodes of a quadrature rule."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     # reference Gauss-Legendre nodes/weights on [-1, 1]; cached because
@@ -129,9 +111,13 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def _tensor_rule(domain: Domain, lo, hi, resolution) -> QuadratureRule:
-    """Gauss-Legendre tensor rule on the box [lo, hi] of a plane domain;
-    resolution is the node count per axis, or a tuple (nx, ny)."""
+def box_rule(lo, hi, resolution) -> QuadratureRule:
+    """Gauss-Legendre tensor rule on an arbitrary 2D box [lo, hi].
+
+    resolution is the node count per axis, or a tuple (nx, ny).  Used for
+    windows around the current vortex positions, which may have translated
+    far from the origin, at a fixed node count.
+    """
     if np.isscalar(resolution):
         resolution = (int(resolution), int(resolution))
     nx, ny = (int(r) for r in resolution)
@@ -142,7 +128,7 @@ def _tensor_rule(domain: Domain, lo, hi, resolution) -> QuadratureRule:
     y, wy = gauss_legendre(y0, y1, ny)
     X, Y = np.meshgrid(x, y, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadratureRule(domain, nodes, np.outer(wx, wy).ravel())
+    return QuadratureRule(nodes, np.outer(wx, wy).ravel())
 
 
 def make_rule(domain: Domain, resolution) -> QuadratureRule:
@@ -153,7 +139,7 @@ def make_rule(domain: Domain, resolution) -> QuadratureRule:
     """
     if domain.kind == "plane":
         hx, hy = domain.extents
-        return _tensor_rule(domain, (-hx, -hy), (hx, hy), resolution)
+        return box_rule((-hx, -hy), (hx, hy), resolution)
 
     n = int(resolution)
     if n < 2:
@@ -162,26 +148,11 @@ def make_rule(domain: Domain, resolution) -> QuadratureRule:
         (length,) = domain.extents
         nodes = np.arange(n) * (length / n)
         weights = np.full(n, length / n)
-        return QuadratureRule(domain, nodes, weights)
+        return QuadratureRule(nodes, weights)
     # real line, truncated box
     (hw,) = domain.extents
     nodes, weights = gauss_legendre(-hw, hw, n)
-    return QuadratureRule(domain, nodes.copy(), weights.copy())
-
-
-def box_rule(lo, hi, resolution) -> QuadratureRule:
-    """Gauss-Legendre tensor rule on an arbitrary 2D box [lo, hi].
-
-    Used for windows around the current vortex positions, which may have
-    translated far from the origin, at a fixed node count.
-    """
-    (x0, y0), (x1, y1) = lo, hi
-    hw = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    return _tensor_rule(plane(hw, hw), lo, hi, resolution)
-
-
-def field_values(a) -> np.ndarray:
-    return a.values if isinstance(a, FieldSample) else np.asarray(a)
+    return QuadratureRule(nodes.copy(), weights.copy())
 
 
 def _check_aligned(values: np.ndarray, rule: QuadratureRule, what: str):
@@ -198,7 +169,7 @@ def inner_product(a, b, rule: QuadratureRule) -> float:
     the real part of the Hermitian pairing, which keeps Gram matrices of
     complex tangent fields real and symmetric.
     """
-    av, bv = field_values(a), field_values(b)
+    av, bv = np.asarray(a), np.asarray(b)
     _check_aligned(av, rule, "first field")
     _check_aligned(bv, rule, "second field")
     if np.iscomplexobj(av) or np.iscomplexobj(bv):
@@ -208,6 +179,6 @@ def inner_product(a, b, rule: QuadratureRule) -> float:
 
 def norm_sq(a, rule: QuadratureRule) -> float:
     """Squared Hilbert norm ||a||^2 = <a, a> >= 0."""
-    av = field_values(a)
+    av = np.asarray(a)
     _check_aligned(av, rule, "field")
     return float(np.sum(rule.weights * np.abs(av) ** 2))

@@ -12,6 +12,12 @@
   exponentially even from decaying initial data once round-off seeds the
   growing branch.
 
+The time-dependent oracles return plain arrays: `nlse_dns` gives the times
+and a (T, n) complex array of fields, `point_vortex` the times and a
+(T, N, 2) array of centers.  `SpectralState` and `PointVortexState` are the
+validated initial states they start from (and the last finite state a
+`BlowupError` carries).
+
 Everything here is deliberately independent of the engine module so that
 agreement between the two is evidence, not tautology.
 """
@@ -73,20 +79,8 @@ class SpectralState:
             raise ValueError("field values must be finite")
 
     @property
-    def grid(self) -> np.ndarray:
-        n = len(self.values)
-        return -self.length / 2 + np.arange(n) * (self.length / n)
-
-    @property
     def dx(self) -> float:
         return self.length / len(self.values)
-
-    def mass(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.dx)
-
-    def center_value(self) -> complex:
-        # x = 0 lies exactly on the grid for even n
-        return complex(self.values[len(self.values) // 2])
 
 
 def spectral_grid(length: float, n_modes: int) -> np.ndarray:
@@ -123,12 +117,13 @@ def nlse_dns(
     t_end: float,
     *,
     record_every: int = 1,
-) -> list[SpectralState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve u_t = i u_xx + i |u|^2 u from u0 with ETDRK4.
 
     The linear part is treated exactly in Fourier space; the cubic term is
-    the nonlinearity.  Returns states every `record_every` steps, initial
-    state included and final state last.  Raises BlowupError with the last
+    the nonlinearity.  Returns (times, fields): the field every
+    `record_every` steps as the rows of a (T, n) complex array, initial
+    field first and final field last.  Raises BlowupError with the last
     finite state if the field stops being finite.
     """
     # scipy.fft runs the same pocketfft transforms as numpy.fft, with less
@@ -147,11 +142,13 @@ def nlse_dns(
         u = ifft(v_hat)
         return 1j * fft(np.abs(u) ** 2 * u)
 
-    v = fft(u0.values)
-    t = u0.time
-    out = [SpectralState(u0.length, u0.values.copy(), t)]
     n_steps = int(round(t_end / dt))
-    last_good = out[0]
+    n_records = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    times = np.empty(n_records)
+    fields = np.empty((n_records, n), dtype=complex)
+    times[0], fields[0] = u0.time, u0.values
+    v = fft(u0.values)
+    row = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             Nv = nonlin(v)
@@ -162,18 +159,17 @@ def nlse_dns(
             c = E2 * a + Q * (2.0 * Nb - Nv)
             Nc = nonlin(c)
             v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-            t = u0.time + step * dt
             if step % record_every == 0 or step == n_steps:
+                t = u0.time + step * dt
                 u = ifft(v)
                 if not np.all(np.isfinite(u)):
                     raise BlowupError(
                         f"spectral solution lost finiteness at t = {t:.6g}",
-                        last_state=last_good,
+                        last_state=SpectralState(u0.length, fields[row], times[row]),
                     )
-                state = SpectralState(u0.length, u, t)
-                out.append(state)
-                last_good = state
-    return out
+                row += 1
+                times[row], fields[row] = t, u
+    return times, fields
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +197,6 @@ class PointVortexState:
         if _min_separation(self.centers) <= 0:
             raise ValueError("vortex centers must be distinct")
 
-    @property
-    def n(self) -> int:
-        return len(self.strengths)
-
 
 def _min_separation(centers: np.ndarray) -> float:
     if len(centers) < 2:
@@ -215,10 +207,11 @@ def _min_separation(centers: np.ndarray) -> float:
     return float(dist.min())
 
 
-def point_vortex_hamiltonian(state: PointVortexState) -> float:
-    """H = -sum_{i != j} Gamma_i Gamma_j log|x_i - x_j| / (4 pi)."""
-    g = state.strengths
-    diff = state.centers[:, None, :] - state.centers[None, :, :]
+def point_vortex_hamiltonian(strengths, centers) -> float:
+    """H = -sum_{i != j} Gamma_i Gamma_j log|x_i - x_j| / (4 pi) of the
+    strengths Gamma_i and the (N, 2) centers x_i."""
+    g, x = np.asarray(strengths, dtype=float), np.asarray(centers, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=2))
     np.fill_diagonal(dist, 1.0)
     logd = np.log(dist)
@@ -245,12 +238,13 @@ def point_vortex(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     min_separation: float = 1e-6,
-) -> list[PointVortexState]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the point-vortex equations, recording accepted steps.
 
-    `dt` caps the step size (and hence the output spacing).  Aborts with
-    CollisionError if any two centers come within `min_separation`, where the
-    logarithmic Hamiltonian is about to blow up.
+    Returns (times, centers), the centers at each accepted step as a
+    (T, N, 2) array.  `dt` caps the step size (and hence the output
+    spacing).  Aborts with CollisionError if any two centers come within
+    `min_separation`, where the logarithmic Hamiltonian is about to blow up.
     """
 
     def rhs(_t, y):
@@ -271,10 +265,7 @@ def point_vortex(
         atol=atol,
         max_step=dt,
     )
-    return [
-        PointVortexState(state.strengths, y.reshape(-1, 2), t)
-        for t, y in zip(times, ys)
-    ]
+    return times, ys.reshape(len(times), -1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,9 @@ from rons.ansatz import (
     GaussianWavePacket,
     HeatKernel,
     LinearModes,
-    ParameterVector,
     SineWave,
     VortexStreamFunction,
-    builtin_families,
     fourier_modes,
-    sample,
 )
 from rons.engine import assemble
 from rons.errors import DomainError
@@ -264,32 +261,6 @@ def test_domain_checks():
     vfam = VortexStreamFunction(2)
     assert not vfam.domain_check([1.0, 1.0, 0, 0, 0.0, 1.0, 1, 1])  # zero amplitude
     assert vfam.domain_check([1.0, 1.0, 0, 0, -1.0, 1.0, 1, 1])
-
-
-def test_sample_checks_domain():
-    fam = HeatKernel()
-    rule = make_rule(real_line(6.0), 64)
-    with pytest.raises(DomainError):
-        sample(fam, [1.0, -2.0], rule)
-    field = sample(fam, [2.0, 1.0], rule)
-    assert len(field) == 64
-
-
-def test_parameter_vector():
-    pv = ParameterVector(np.array([1.0, 2.0]), ("A", "L"))
-    assert pv.as_dict() == {"A": 1.0, "L": 2.0}
-    with pytest.raises(ValueError):
-        ParameterVector(np.array([np.nan, 1.0]), ("A", "L"))
-    with pytest.raises(ValueError):
-        ParameterVector(np.array([1.0]), ("A", "L"))
-
-
-def test_builtin_catalog():
-    catalog = builtin_families()
-    assert len(catalog) == 5
-    fam = catalog["vortex-stream-function"](4)
-    assert fam.n == 16
-    assert catalog["sine-wave"]().n == 3
 
 
 def test_vortex_points_moved_in_place_give_new_field():

@@ -7,7 +7,6 @@ import pytest
 from rons.ansatz import VortexStreamFunction
 from rons.experiments import (
     EXPERIMENTS,
-    _fmt,
     _write_csv,
     compare,
     list_experiments,
@@ -70,32 +69,53 @@ def test_resolve_config_validation():
     assert resolved["c"] == 1.0  # default filled in
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "advdiff-exact", "stride": 0},
+    {"experiment": "advdiff-exact", "scheme": "euler"},
+    {"experiment": "advdiff-exact", "scheme": "rk4"},
+    {"experiment": "advdiff-exact", "dt": -0.5},
+    {"experiment": "advdiff-exact", "dt": 0},
+    {"experiment": "advdiff-exact", "snapshots": 0},
+    {"experiment": "nlse-focusing", "dns_dt": 0},
+    {"experiment": "appendixA-instability", "lambdas": []},
+    {"experiment": "appendixA-instability", "lambdas": [1.0, -0.5]},
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items() if k != "experiment"))
+def test_config_errors_raise_before_anything_is_written(config, tmp_path):
+    with pytest.raises(ValueError):
+        run(config, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def quick_advdiff(tmp_path_factory):
     out = tmp_path_factory.mktemp("advdiff")
     return run({"experiment": "advdiff-exact", "t_end": 2.0}, out_dir=out)
 
 
-def test_csv_writer_matches_per_value_formatting(tmp_path):
-    # the line-template writer writes the bytes of csv.writer over _fmt
-    header = ["t", "a,b", 'say "x"', "y"]
-    rows = [
-        [0, -7, np.int64(3), 2**60],
-        [True, 1.5, False, -1],
-        [np.bool_(True), 2.5, np.bool_(False), np.float64(-1.0)],
-        [np.nan, np.inf, -np.inf, -0.0],
-        [5e-324, -2.5e-310, np.float64(1e-320), 2.2250738585072014e-308],
-        np.array([0.1, 1 / 3, 1e16, 1.7976931348623157e308]),
-        (0.5,),
-        [],
-    ]
-    _write_csv(tmp_path / "fast.csv", header, rows)
-    with open(tmp_path / "slow.csv", "w", newline="") as fh:
+def _reference_csv(path, header, rows):
+    """csv.writer over each value formatted on its own."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+            writer.writerow([f"{float(x):.17g}" for x in row])
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    # the array writer writes the bytes of csv.writer over per-value "%.17g"
+    header = ["t", "a,b", 'say "x"', "y"]
+    values = [
+        [0, -7, 3, 2**60],
+        [np.int64(3), 1.5, -1, np.float64(-1.0)],
+        [np.nan, np.inf, -np.inf, -0.0],
+        [5e-324, -2.5e-310, 1e-320, 2.2250738585072014e-308],
+        [0.1, 1 / 3, 1e16, 1.7976931348623157e308],
+    ]
+    for name, rows in (("values", values), ("empty", [])):
+        _write_csv(tmp_path / f"{name}.csv", header, np.array(rows, dtype=float))
+        _reference_csv(tmp_path / f"{name}-reference.csv", header, rows)
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}-reference.csv").read_bytes()
 
 
 def test_run_writes_expected_files(quick_advdiff):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rons.errors import AlignmentError
 from rons.hilbert import (
-    FieldSample,
     box_rule,
     inner_product,
     make_rule,
@@ -53,48 +52,48 @@ def test_domain_validation():
 
 def test_constant_inner_product_is_period():
     rule = make_rule(periodic_interval(2 * np.pi), 64)
-    one = FieldSample(np.ones(64))
+    one = np.ones(64)
     assert abs(inner_product(one, one, rule) - 2 * np.pi) < 1e-12
 
 
 def test_sin_cos_orthogonal():
     rule = make_rule(periodic_interval(2 * np.pi), 64)
-    a = FieldSample(np.sin(rule.nodes))
-    b = FieldSample(np.cos(rule.nodes))
+    a = np.sin(rule.nodes)
+    b = np.cos(rule.nodes)
     assert abs(inner_product(a, b, rule)) < 1e-12
 
 
 def test_gaussian_integral():
     # int exp(-2 x^2) dx = sqrt(pi/2)
     rule = make_rule(real_line(12.0), 400)
-    g = FieldSample(np.exp(-rule.nodes**2))
+    g = np.exp(-rule.nodes**2)
     assert abs(inner_product(g, g, rule) - np.sqrt(np.pi / 2)) < 1e-12
 
 
 def test_gaussian_norm_with_length_scale():
     # ||A exp(-x^2/L^2)||^2 = A^2 L sqrt(pi/2)
     rule = make_rule(real_line(12.0), 400)
-    g = FieldSample(np.exp(-rule.nodes**2 / 4.0))
+    g = np.exp(-rule.nodes**2 / 4.0)
     assert abs(norm_sq(g, rule) - 2.0 * np.sqrt(np.pi / 2)) < 1e-12
 
 
 def test_quadrature_refinement_gate():
     coarse = make_rule(real_line(12.0), 400)
     fine = make_rule(real_line(12.0), 800)
-    val = lambda rule: norm_sq(FieldSample(np.exp(-rule.nodes**2 / 2)), rule)
+    val = lambda rule: norm_sq(np.exp(-rule.nodes**2 / 2), rule)
     assert abs(val(coarse) - val(fine)) < 1e-10
 
 
 def test_norm_sq_trivial():
     rule = make_rule(periodic_interval(1.0), 16)
-    assert norm_sq(FieldSample(np.zeros(16)), rule) == 0.0
-    assert abs(norm_sq(FieldSample(2.0 * np.ones(16)), rule) - 4.0) < 1e-12
+    assert norm_sq(np.zeros(16), rule) == 0.0
+    assert abs(norm_sq(2.0 * np.ones(16), rule) - 4.0) < 1e-12
 
 
 def test_complex_pairing_real_part():
     rule = make_rule(periodic_interval(1.0), 16)
-    a = FieldSample(1j * np.ones(16))
-    b = FieldSample(np.ones(16))
+    a = 1j * np.ones(16)
+    b = np.ones(16)
     # Re(i * conj(1)) = 0
     assert abs(inner_product(a, b, rule)) < 1e-15
     assert abs(norm_sq(a, rule) - 1.0) < 1e-12

@@ -10,7 +10,6 @@ from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
 from rons.integrate import (
     IntegratorConfig,
     Trajectory,
-    dense_eval,
     integrate,
     solve_fixed_rk4,
 )
@@ -88,23 +87,58 @@ def test_unconstrained_packet_conserves_invariants_automatically():
     assert np.max(np.abs(free.states[-1] - pinned.states[-1])) <= 1e-8
 
 
+# dense output: the field u(., q(t)) at any time from the interpolated q(t)
+
+
 def test_dense_eval_at_stored_time(advdiff_setup):
     fam, model, rule = advdiff_setup
     cfg = IntegratorConfig(t_end=5.0, scheme="rk4", dt=0.25)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
     k = len(traj) // 2
-    field = dense_eval(traj, fam, rule, traj.times[k])
+    field = fam.evaluate(rule.nodes, traj.interpolate(traj.times[k]))
     direct = fam.evaluate(rule.nodes, traj.states[k])
-    assert np.allclose(field.values, direct, atol=1e-14)
+    assert np.allclose(field, direct, atol=1e-14)
+    # an array of times gives one state per time; the last one exactly
+    assert np.allclose(traj.interpolate(traj.times), traj.states, atol=1e-14)
+    assert np.array_equal(traj.interpolate(traj.times[-1:])[0], traj.states[-1])
 
 
 def test_dense_eval_matches_exact_solution(advdiff_setup):
     fam, model, rule = advdiff_setup
     cfg = IntegratorConfig(t_end=3.0, scheme="rk45", rtol=1e-8, atol=1e-10)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
-    field = dense_eval(traj, fam, rule, 1.0)
+    field = fam.evaluate(rule.nodes, traj.interpolate(1.0))
     exact = exact_advdiff(1.0, 1.0, 1.0, 0.1, rule.nodes, 1.0)
-    assert np.max(np.abs(field.values - exact)) <= 1e-6
+    assert np.max(np.abs(field - exact)) <= 1e-6
+
+
+def _hermite_reference(traj, t):
+    """Cubic Hermite q(t) one time at a time, in float64 scalars."""
+    j = int(np.searchsorted(traj.times, t, side="right")) - 1
+    if j >= len(traj.times) - 1:
+        return traj.states[-1].copy()
+    h = traj.times[j + 1] - traj.times[j]
+    s = (t - traj.times[j]) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s**2 * (3 - 2 * s)
+    h11 = s**2 * (s - 1)
+    return (
+        h00 * traj.states[j]
+        + h10 * h * traj.qdots[j]
+        + h01 * traj.states[j + 1]
+        + h11 * h * traj.qdots[j + 1]
+    )
+
+
+def test_interpolate_array_matches_scalar_reference(advdiff_setup):
+    fam, model, rule = advdiff_setup
+    cfg = IntegratorConfig(t_end=3.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+    ts = np.r_[np.linspace(0.0, 3.0, 2001), traj.times]
+    reference = np.array([_hermite_reference(traj, t) for t in ts])
+    assert np.array_equal(traj.interpolate(ts), reference)
+    assert np.array_equal(traj.interpolate(ts[7]), reference[7])
 
 
 def test_dense_eval_midpoint_refinement(advdiff_setup):
@@ -127,7 +161,9 @@ def test_dense_eval_out_of_range(advdiff_setup):
     cfg = IntegratorConfig(t_end=1.0, scheme="rk4", dt=0.5)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
     with pytest.raises(ValueError):
-        dense_eval(traj, fam, rule, 2.0)
+        traj.interpolate(2.0)
+    with pytest.raises(ValueError):
+        traj.interpolate(np.array([0.5, -0.1]))
 
 
 class _ShrinkWidth(PdeModel):
@@ -180,6 +216,12 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, scheme="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, rtol=-1e-8)
+    # dt caps the rk45 step; None means no cap, and a cap must be positive
+    for scheme in ("rk45", "rk4"):
+        for dt in (-0.5, 0.0):
+            with pytest.raises(ValueError):
+                IntegratorConfig(t_end=1.0, scheme=scheme, dt=dt)
+    assert IntegratorConfig(t_end=1.0).dt is None
 
 
 def test_rk4_step_costs_four_evaluations():

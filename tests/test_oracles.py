@@ -40,8 +40,13 @@ def test_exact_advdiff_values():
 
 def test_dns_zero_stays_zero():
     u0 = SpectralState(LENGTH, np.zeros(64, dtype=complex))
-    states = nlse_dns(u0, 0.025, 1.0)
-    assert np.max(np.abs(states[-1].values)) == 0.0
+    times, fields = nlse_dns(u0, 0.025, 1.0)
+    assert fields.shape == (41, 64) and times[-1] == pytest.approx(1.0)
+    assert np.max(np.abs(fields)) == 0.0
+    # every third of 40 steps, then the final one
+    times, fields = nlse_dns(u0, 0.025, 1.0, record_every=3)
+    assert fields.shape == (15, 64)
+    assert times == pytest.approx(np.r_[0.025 * np.arange(0, 40, 3), 1.0])
 
 
 def test_dns_plane_wave_exact():
@@ -50,17 +55,18 @@ def test_dns_plane_wave_exact():
     k = 2 * np.pi * 8 / LENGTH
     a = 0.1
     u0 = SpectralState(LENGTH, a * np.exp(1j * k * x))
-    states = nlse_dns(u0, 0.001, 1.0)
+    _, fields = nlse_dns(u0, 0.001, 1.0)
     exact = a * np.exp(1j * k * x) * np.exp(1j * (a**2 - k**2) * 1.0)
-    assert np.max(np.abs(states[-1].values - exact)) <= 1e-8
+    assert np.max(np.abs(fields[-1] - exact)) <= 1e-8
 
 
 def test_dns_mass_conserved_long_run():
     fam = GaussianWavePacket()
     x = spectral_grid(LENGTH, 512)
     u0 = SpectralState(LENGTH, fam.evaluate(x, np.array([0.2, 5.0, 0.0, 0.0])))
-    states = nlse_dns(u0, 0.025, 40.0, record_every=40)
-    masses = np.array([s.mass() for s in states])
+    times, fields = nlse_dns(u0, 0.025, 40.0, record_every=40)
+    assert times == pytest.approx(np.arange(41.0))
+    masses = np.sum(np.abs(fields) ** 2, axis=1) * u0.dx
     assert np.max(np.abs(masses - masses[0])) / masses[0] <= 1e-8
 
 
@@ -77,8 +83,8 @@ def test_dns_refinement_gate(q0, t_end):
 
     def peak(n_modes, dt):
         x = spectral_grid(LENGTH, n_modes)
-        states = nlse_dns(SpectralState(LENGTH, fam.evaluate(x, q0)), dt, t_end)
-        return max(abs(s.center_value()) for s in states)
+        _, fields = nlse_dns(SpectralState(LENGTH, fam.evaluate(x, q0)), dt, t_end)
+        return np.max(np.abs(fields[:, n_modes // 2]))   # x = 0
 
     base = peak(512, 0.025)
     assert abs(peak(1024, 0.025) - base) < 1e-5
@@ -90,8 +96,11 @@ def test_dns_blowup_reports_last_state():
     u0 = SpectralState(LENGTH, 5.0 * np.exp(-(x**2) / 25.0) + 0j)
     with pytest.raises(BlowupError) as excinfo:
         nlse_dns(u0, 5.0, 100.0)
-    assert excinfo.value.last_state is not None
-    assert np.all(np.isfinite(excinfo.value.last_state.values))
+    last = excinfo.value.last_state
+    assert isinstance(last, SpectralState) and last.length == LENGTH
+    assert np.all(np.isfinite(last.values))
+    # the last finite record: a step of 5.0 before the blow-up time
+    assert 0.0 <= last.time < 100.0 and last.time % 5.0 == 0.0
 
 
 def test_spectral_state_validation():
@@ -107,39 +116,39 @@ def test_spectral_state_validation():
 def test_dipole_translates_at_expected_speed():
     gamma, d = 2.0, 1.0
     state = PointVortexState([gamma, -gamma], [[0.0, d / 2], [0.0, -d / 2]])
-    series = point_vortex(state, 0.5, 5.0)
-    mid = np.array([s.centers.mean(axis=0) for s in series])
-    times = np.array([s.time for s in series])
+    times, centers = point_vortex(state, 0.5, 5.0)
+    assert centers.shape == (len(times), 2, 2)
+    mid = centers.mean(axis=1)
     speed = np.linalg.norm(mid[-1] - mid[0]) / times[-1]
     assert speed == pytest.approx(gamma / (2 * np.pi * d), rel=1e-9)
     # straight-line motion: lateral deviation negligible vs distance traveled
     distance = np.linalg.norm(mid[-1] - mid[0])
     assert np.max(np.abs(mid[:, 1] - mid[0, 1])) <= 1e-8 * distance
     # shape preserved
-    seps = [np.linalg.norm(s.centers[0] - s.centers[1]) for s in series]
-    assert np.max(np.abs(np.array(seps) - d)) <= 1e-9
+    seps = np.linalg.norm(centers[:, 0] - centers[:, 1], axis=1)
+    assert np.max(np.abs(seps - d)) <= 1e-9
 
 
 def test_pair_rotates_at_expected_rate():
     gamma, d = 1.5, 2.0
     state = PointVortexState([gamma, gamma], [[-d / 2, 0.0], [d / 2, 0.0]])
-    series = point_vortex(state, 0.2, 20.0)
-    rel = np.array([s.centers[1] - s.centers[0] for s in series])
+    times, centers = point_vortex(state, 0.2, 20.0)
+    rel = centers[:, 1] - centers[:, 0]
     theta = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    omega = np.polyfit([s.time for s in series], theta, 1)[0]
+    omega = np.polyfit(times, theta, 1)[0]
     assert omega == pytest.approx(gamma / (np.pi * d**2), rel=1e-6)
 
 
 def test_hamiltonian_conserved():
     # constant-velocity dipole: drift at rounding level even at defaults
     state = PointVortexState([1.0, -1.0], [[0.0, 0.5], [0.0, -0.5]])
-    series = point_vortex(state, 0.5, 10.0)
-    H = np.array([point_vortex_hamiltonian(s) for s in series])
+    _, centers = point_vortex(state, 0.5, 10.0)
+    H = np.array([point_vortex_hamiltonian(state.strengths, x) for x in centers])
     assert np.max(np.abs(H - H[0])) / abs(H[0]) <= 1e-9 if H[0] != 0 else True
     # rotating pair at tight tolerances
     pair = PointVortexState([1.0, 1.0], [[-1.0, 0.0], [1.0, 0.0]])
-    series = point_vortex(pair, 0.5, 50.0, rtol=1e-12, atol=1e-14)
-    H = np.array([point_vortex_hamiltonian(s) for s in series])
+    _, centers = point_vortex(pair, 0.5, 50.0, rtol=1e-12, atol=1e-14)
+    H = np.array([point_vortex_hamiltonian(pair.strengths, x) for x in centers])
     assert np.max(np.abs(H - H[0])) / abs(H[0]) <= 1e-9
 
 
