@@ -81,6 +81,8 @@ def _cmd_sweep(args) -> int:
                 f"{resolved['experiment']}"
             )
         values = [json.loads(v) for v in args.values]
+        for value in values:                # every config error before any run
+            resolve_config({**template, args.param: value})
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -88,8 +90,7 @@ def _cmd_sweep(args) -> int:
     jobs = []
     root = Path(args.out) if args.out else output_root()
     for value in values:
-        config = dict(template)
-        config[args.param] = value
+        config = {**template, args.param: value}
         tag = str(value).replace(" ", "").replace("/", "_")
         jobs.append((config, root / f"{resolved['experiment']}-{args.param}-{tag}"))
 

@@ -121,7 +121,6 @@ class ReducedSystem:
     constraints: ConstraintBlock | None
     qdot: np.ndarray
     projection: Projection = field(repr=False)
-    jittered: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,18 +145,15 @@ def assemble(
     model: PdeModel,
     rule: QuadratureRule | None,
     quantities=(),
-    *,
-    jitter: float = 0.0,
 ) -> ReducedSystem:
     """Build M, f and (optionally) the constraint block at q, and solve qdot.
 
     `quantities` is a sequence of ConservedQuantity objects whose gradients
     must be linearly independent; dependence is detected by the Cholesky
     factorization of C.  Their gradients come from the same model
-    projection as M and f, so the state is evaluated once.  `jitter` adds
-    jitter * trace(M)/n to the diagonal of M; it is off by default because
-    a near-singular M should abort loudly rather than being silently
-    regularized.
+    projection as M and f, so the state is evaluated once.  M is factored
+    as it is: a near-singular M aborts with ImmersionError rather than
+    being silently regularized.
     """
     qv = family.require_valid(q)
     quantities = tuple(quantities)
@@ -168,11 +164,6 @@ def assemble(
         raise ValueError("non-finite entries in M, f or the constraint gradients")
 
     M_entries = _symmetrize(proj.M, "metric tensor")
-    if jitter > 0.0:
-        M_entries = M_entries + (jitter * np.trace(M_entries) / len(M_entries)) * np.eye(
-            len(M_entries)
-        )
-        warnings.warn(f"metric tensor jittered by {jitter:.1e} (exploratory mode)")
     chol = _cholesky(M_entries, ImmersionError, "metric tensor")
     solved = _cho_solve(chol, rhs)                     # M^-1 [f | B]
     qdot, Minv_B = solved[:, 0], solved[:, 1:]
@@ -193,7 +184,6 @@ def assemble(
         constraints=block,
         qdot=qdot,
         projection=proj,
-        jittered=jitter > 0.0,
     )
 
 
@@ -250,6 +240,14 @@ class FitResult:
     converged: bool
 
 
+# converged when the gradient norm is below _FIT_GRAD_TOL * max(1, cost) or
+# an accepted step below _FIT_STEP_TOL * (1 + |q|); restarts scale the guess
+# by 1 + _FIT_START_SPREAD * z with z standard normal
+_FIT_GRAD_TOL = 1e-12
+_FIT_STEP_TOL = 1e-14
+_FIT_START_SPREAD = 0.3
+
+
 def _fit_cost(family, u0, rule, q):
     r = u0 - family.evaluate(rule.nodes, q)
     return 0.5 * float(np.sum(rule.weights * np.abs(r) ** 2)), r
@@ -262,10 +260,7 @@ def fit_initial(
     q_guess,
     *,
     max_iter: int = 200,
-    grad_tol: float = 1e-12,
-    step_tol: float = 1e-14,
     n_starts: int = 1,
-    start_spread: float = 0.3,
     seed: int = 0,
 ) -> FitResult:
     """Fit ansatz parameters to a sampled field by damped Gauss-Newton.
@@ -285,10 +280,10 @@ def fit_initial(
     for start in range(n_starts):
         q = q_guess.copy()
         if start > 0:
-            q = q * (1.0 + start_spread * rng.standard_normal(len(q)))
+            q = q * (1.0 + _FIT_START_SPREAD * rng.standard_normal(len(q)))
             if not family.domain_check(q):
                 continue
-        result = _fit_single(family, u0, rule, q, max_iter, grad_tol, step_tol)
+        result = _fit_single(family, u0, rule, q, max_iter)
         if best is None or result.residual_norm < best.residual_norm:
             best = result
         if best.converged and best.residual_norm == 0.0:
@@ -303,7 +298,7 @@ def fit_initial(
     return best
 
 
-def _fit_single(family, u0, rule, q, max_iter, grad_tol, step_tol) -> FitResult:
+def _fit_single(family, u0, rule, q, max_iter) -> FitResult:
     sqrt_w = np.sqrt(rule.weights)
     mu = 1e-3
     cost, r = _fit_cost(family, u0, rule, q)
@@ -324,7 +319,7 @@ def _fit_single(family, u0, rule, q, max_iter, grad_tol, step_tol) -> FitResult:
         Jmat, rvec = jacobian_and_residual(q, r)
         grad = Jmat.T @ rvec                              # gradient of cost wrt q is -grad
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol * max(1.0, cost):
+        if gnorm <= _FIT_GRAD_TOL * max(1.0, cost):
             return FitResult(q, np.sqrt(2.0 * cost), gnorm, it, True)
 
         JtJ = Jmat.T @ Jmat
@@ -341,7 +336,7 @@ def _fit_single(family, u0, rule, q, max_iter, grad_tol, step_tol) -> FitResult:
                 continue
             cost_new, r_new = _fit_cost(family, u0, rule, q_new)
             if cost_new <= cost:
-                small = np.linalg.norm(step) <= step_tol * (1.0 + np.linalg.norm(q))
+                small = np.linalg.norm(step) <= _FIT_STEP_TOL * (1.0 + np.linalg.norm(q))
                 q, cost, r = q_new, cost_new, r_new
                 mu = max(mu / 3.0, 1e-12)
                 accepted = True

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -103,12 +105,6 @@ def _write_trajectory(path: Path, traj: Trajectory) -> None:
     _write_csv(path, header, table)
 
 
-def _snapshots(traj: Trajectory, t_end: float, count: int):
-    """(t, q(t)) at `count` equispaced times of [0, t_end]."""
-    ts = np.linspace(0.0, t_end, count)
-    return zip(ts, traj.interpolate(ts))
-
-
 def output_root() -> Path:
     return Path(os.environ.get("RONS_OUT_DIR", "rons-out"))
 
@@ -137,7 +133,6 @@ class RunRecord:
     metrics: dict
     status: str
     wall_time_s: float
-    version: str
     abort_reason: str | None = None
 
     @property
@@ -145,15 +140,14 @@ class RunRecord:
         return self.out_dir / "summary.json"
 
 
-_COMMON_DEFAULTS = {
+# the experiments that integrate the reduced dynamics and write snapshots
+_INTEGRATION_DEFAULTS = {
     "scheme": "rk45",
     "dt": None,
     "rtol": 1e-8,
     "atol": 1e-10,
     "stride": 1,
-    "seed": 0,
     "snapshots": 5,
-    "out_dir": None,
 }
 
 
@@ -181,7 +175,7 @@ def _integrator_config(config: dict) -> IntegratorConfig:
     )
 
 
-def _uniform_series(traj: Trajectory, n: int = 400):
+def _uniform_series(traj: Trajectory, n: int):
     """n equispaced times over the run and the interpolated states there."""
     ts = np.linspace(traj.times[0], traj.times[-1], n)
     return ts, traj.interpolate(ts)
@@ -215,7 +209,7 @@ def _run_advdiff(config, out_dir, files, series):
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
     }
 
-    ts, qs = _uniform_series(traj)
+    ts, qs = _uniform_series(traj, 400)
     _write_csv(out_dir / "series_rons_amplitude.csv", ["t", "amplitude"], np.column_stack([ts, qs[:, 0]]))
     series["rons_amplitude"] = "series_rons_amplitude.csv"
     amp_ex = A0 * np.exp(-nu * ts / L0**2)
@@ -226,7 +220,7 @@ def _run_advdiff(config, out_dir, files, series):
     files["trajectory"] = "trajectory.csv"
 
     fields = []
-    for t, q in _snapshots(traj, config["t_end"], config["snapshots"]):
+    for t, q in zip(*_uniform_series(traj, config["snapshots"])):
         u = family.evaluate(rule.nodes, q)
         u_exact = exact_advdiff(A0, L0, c_, nu, rule.nodes, t)
         fields.append(np.column_stack([np.full(len(rule), t), rule.nodes, u, u_exact]))
@@ -259,7 +253,7 @@ def _run_nlse(config, out_dir, files, series):
     dns_amp = np.array([abs(complex(z)) for z in dns_u[:, len(x) // 2]])
     dns_mass = [float(np.sum(np.abs(u) ** 2) * u0.dx) for u in (dns_u[0], dns_u[-1])]
 
-    ts, qs = _uniform_series(traj, n=800)
+    ts, qs = _uniform_series(traj, 800)
     rons_amp = qs[:, 0]
     _write_csv(out_dir / "series_rons_center.csv", ["t", "amp"], np.column_stack([ts, rons_amp]))
     _write_csv(out_dir / "series_dns_center.csv", ["t", "amp"], np.column_stack([dns_t, dns_amp]))
@@ -292,7 +286,7 @@ def _run_nlse(config, out_dir, files, series):
     files["trajectory"] = "trajectory.csv"
 
     fields = []
-    for t, q in _snapshots(traj, config["t_end"], config["snapshots"]):
+    for t, q in zip(*_uniform_series(traj, config["snapshots"])):
         u = family.evaluate(rule.nodes, q)
         fields.append(np.column_stack([np.full(len(rule), t), rule.nodes, u.real, u.imag]))
     _write_csv(out_dir / "fields.csv", ["t", "x", "re_u", "im_u"], np.vstack(fields))
@@ -474,7 +468,7 @@ def _write_euler_fields(config, family, traj, out_dir, files):
     """psi and omega = -(psi_xx + psi_yy) on a window around each snapshot
     state, from one kernel pass per snapshot."""
     fields = []
-    for t, q in _snapshots(traj, traj.times[-1], config["snapshots"]):
+    for t, q in zip(*_uniform_series(traj, config["snapshots"])):
         r = _window_rule(family, q, config["window_pad"], min(config["resolution"], 64))
         psi, _ = family.terms(r.nodes, q, ((0, 0), (2, 0), (0, 2)), ())
         omega = -(psi[2, 0] + psi[0, 2])
@@ -621,55 +615,63 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
 
 def _register(name, description, defaults, runner):
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(defaults)
-    EXPERIMENTS[name] = ExperimentSpec(name, description, merged, runner)
+    """Declare an experiment with only the keys its runner reads, and
+    `out_dir`, which `run` reads."""
+    EXPERIMENTS[name] = ExperimentSpec(name, description, {**defaults, "out_dir": None}, runner)
 
+
+_NLSE_FOCUSING = {
+    **_INTEGRATION_DEFAULTS,
+    "q0": [0.2, 20.0, -0.05, 0.0],
+    "t_end": 60.0,
+    # the projection is closed-form over the whole line; the rule
+    # (half-width, Gauss-Legendre nodes) feeds only fields.csv
+    "half_width": 120.0,
+    "resolution": 1000,
+    "constrained": True,
+    "dns_modes": 512,
+    "dns_length": 64 * np.sqrt(2.0) * np.pi,
+    "dns_dt": 0.025,
+}
+
+_EULER_DEFAULTS = {
+    **_INTEGRATION_DEFAULTS,
+    "nu": 0.0,
+    # the solve is exact; the window (nodes per axis, padding in L)
+    # serves the t = 0 core-centroid oracle and, at <= 64 nodes, fields.csv
+    "resolution": 110,
+    "window_pad": 6.0,
+    "constrained": True,
+}
 
 _register(
     "advdiff-exact",
     "traveling decaying sine wave; reduced dynamics reproduce the exact solution",
     {
+        **_INTEGRATION_DEFAULTS,
         "q0": [1.0, 1.0, 0.0],
         "c": 1.0,
         "nu": 0.1,
         "t_end": 10.0,
         "resolution": 128,
-        "constrained": False,
     },
     _run_advdiff,
 )
 _register(
     "nlse-focusing",
     "focusing wave group versus pseudospectral reference",
-    {
-        "q0": [0.2, 20.0, -0.05, 0.0],
-        "t_end": 60.0,
-        # the projection is closed-form over the whole line; the rule
-        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
-        "half_width": 120.0,
-        "resolution": 1000,
-        "constrained": True,
-        "dns_modes": 512,
-        "dns_length": 64 * np.sqrt(2.0) * np.pi,
-        "dns_dt": 0.025,
-    },
+    _NLSE_FOCUSING,
     _run_nlse,
 )
 _register(
     "nlse-defocusing",
     "defocusing wave group versus pseudospectral reference",
     {
+        **_NLSE_FOCUSING,
         "q0": [0.2, 5.0, 0.0, 0.0],
         "t_end": 40.0,
-        # the projection is closed-form over the whole line; the rule
-        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
         "half_width": 150.0,
         "resolution": 1400,
-        "constrained": True,
-        "dns_modes": 512,
-        "dns_length": 64 * np.sqrt(2.0) * np.pi,
-        "dns_dt": 0.025,
     },
     _run_nlse,
 )
@@ -677,32 +679,17 @@ _register(
     "nlse-unconstrained",
     "focusing parameters without enforcing invariants (documents that the "
     "Gaussian packet conserves them automatically)",
-    {
-        "q0": [0.2, 20.0, -0.05, 0.0],
-        "t_end": 60.0,
-        # the projection is closed-form over the whole line; the rule
-        # (half-width, Gauss-Legendre nodes) feeds only fields.csv
-        "half_width": 120.0,
-        "resolution": 1000,
-        "constrained": False,
-        "dns_modes": 512,
-        "dns_length": 64 * np.sqrt(2.0) * np.pi,
-        "dns_dt": 0.025,
-    },
+    {**_NLSE_FOCUSING, "constrained": False},
     _run_nlse,
 )
 _register(
     "euler-dipole",
     "opposite-sign vortex pair translating on a straight line",
     {
+        **_EULER_DEFAULTS,
         "q0": [1.0, 0.75, -3.0, 0.5, -1.0, 0.75, -3.0, -0.5],
-        "nu": 0.0,
         "t_end": 10.0,
-        # the solve is exact; the window (nodes per axis, padding in L)
-        # serves the t = 0 core-centroid oracle and, at <= 64 nodes, fields.csv
-        "resolution": 110,
         "window_pad": 7.0,
-        "constrained": True,
     },
     partial(_run_euler, n_vortices=2, metrics_of=_dipole_metrics),
 )
@@ -710,14 +697,9 @@ _register(
     "euler-pair",
     "same-sign vortex pair rotating about its midpoint",
     {
+        **_EULER_DEFAULTS,
         "q0": [1.0, 1.0, -1.0, 0.0, 1.0, 1.0, 1.0, 0.0],
-        "nu": 0.0,
         "t_end": 40.0,
-        # the solve is exact; the window (nodes per axis, padding in L)
-        # serves the t = 0 core-centroid oracle and, at <= 64 nodes, fields.csv
-        "resolution": 110,
-        "window_pad": 6.0,
-        "constrained": True,
     },
     partial(_run_euler, n_vortices=2, metrics_of=_pair_metrics),
 )
@@ -725,19 +707,15 @@ _register(
     "euler-leapfrog",
     "two opposite-sign pairs exchanging front and back repeatedly",
     {
+        **_EULER_DEFAULTS,
         "q0": [
             1.0, 0.3, 0.5, 0.5,
             -1.0, 0.3, 0.5, -0.5,
             1.0, 0.3, -0.5, 0.5,
             -1.0, 0.3, -0.5, -0.5,
         ],
-        "nu": 0.0,
         "t_end": 30.0,
-        # the solve is exact; the window (nodes per axis, padding in L)
-        # serves the t = 0 core-centroid oracle and, at <= 64 nodes, fields.csv
         "resolution": 96,
-        "window_pad": 6.0,
-        "constrained": True,
         "rtol": 1e-7,
         "atol": 1e-9,
     },
@@ -752,7 +730,7 @@ _register(
         "c": 1.0,
         "nu": 0.1,
         "resolution": 64,
-        "constrained": False,
+        "seed": 0,
     },
     _run_galerkin,
 )
@@ -762,7 +740,9 @@ _register(
     {
         "lambdas": [0.5, 1.0, 2.0],
         "t_horizon_over_lambda": 40.0,
-        "constrained": False,
+        # tolerances of the reduced first-order runs
+        "rtol": 1e-8,
+        "atol": 1e-10,
     },
     _run_instability,
 )
@@ -776,7 +756,7 @@ _register(
         "perturbation": 1e-3,
         "guess_offset": 0.25,
         "n_starts": 1,
-        "constrained": False,
+        "seed": 0,
     },
     _run_fit_demo,
 )
@@ -786,12 +766,56 @@ def list_experiments() -> dict[str, ExperimentSpec]:
     return dict(EXPERIMENTS)
 
 
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return abs(value) <= sys.float_info.max         # False for nan and +-inf
+
+
+def _check_kind(key, value, default) -> None:
+    """Raise ValueError unless `value` is of the kind of `key`'s default."""
+    if key == "out_dir":
+        kind, ok = "null or a path", value is None or isinstance(value, str)
+    elif default is None:                               # dt: no step cap
+        kind, ok = "null or a finite number", value is None or _is_real(value)
+    elif isinstance(default, list):                     # q0 and lambdas
+        kind = f"a list of {len(default) if key == 'q0' else 'any number of'} finite numbers"
+        ok = isinstance(value, list) and all(map(_is_real, value))
+        ok = ok and (key != "q0" or len(value) == len(default))
+    elif isinstance(default, bool):
+        kind, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        kind, ok = "a finite number", _is_real(value)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ValueError(f"{key} must be {kind}, not {value!r}")
+
+
+# keys that must be positive, and lower bounds of the others with one
+_POSITIVE = (
+    "t_end", "rtol", "atol", "dns_dt", "dns_length", "half_width", "window_pad",
+    "t_horizon_over_lambda",
+)
+_AT_LEAST = {
+    "resolution": 2, "snapshots": 1, "n_states": 1, "n_modes": 1, "n_starts": 1,
+    "seed": 0, "nu": 0,
+}
+
+
 def resolve_config(config: dict) -> dict:
-    """Merge a user config over the experiment defaults and validate it."""
+    """Merge a user config over the experiment defaults and validate it.
+
+    Every supplied value must have the type of its key's default and lie in
+    the key's range; a wrong one raises ValueError.
+    """
     if "experiment" not in config:
         raise ValueError("config needs an 'experiment' key")
     name = config["experiment"]
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
@@ -802,28 +826,26 @@ def resolve_config(config: dict) -> dict:
         raise ValueError(
             f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
         )
-    resolved.update({k: v for k, v in config.items() if k != "experiment"})
-    resolved["experiment"] = name
+    for key, value in config.items():
+        if key != "experiment":
+            _check_kind(key, value, spec.defaults[key])
+    resolved.update(config)
 
-    if "q0" in resolved and resolved["q0"] is not None:
-        q0 = np.asarray(resolved["q0"], dtype=float)
-        if not np.all(np.isfinite(q0)):
-            raise ValueError("q0 must be finite")
-        resolved["q0"] = [float(v) for v in q0]
-    for key in ("t_end", "rtol", "atol"):
-        if key in resolved and resolved[key] is not None and resolved[key] <= 0:
+    if "q0" in resolved:
+        resolved["q0"] = [float(v) for v in resolved["q0"]]
+    for key in _POSITIVE:
+        if key in resolved and resolved[key] <= 0:
             raise ValueError(f"{key} must be positive")
-    if resolved.get("resolution") is not None and resolved.get("resolution", 2) < 2:
-        raise ValueError("resolution must be >= 2")
-    if "nu" in resolved and resolved["nu"] < 0:
-        raise ValueError("nu must be >= 0")
-    if resolved["snapshots"] < 1:
-        raise ValueError("snapshots must be >= 1")
-    if "dns_dt" in resolved and resolved["dns_dt"] <= 0:
-        raise ValueError("dns_dt must be positive")
+    for key, bound in _AT_LEAST.items():
+        if key in resolved and resolved[key] < bound:
+            raise ValueError(f"{key} must be >= {bound}")
+    if "dns_modes" in resolved:
+        n = resolved["dns_modes"]
+        if n < 16 or n & (n - 1):
+            raise ValueError("dns_modes must be a power of two >= 16")
     if "lambdas" in resolved and (not resolved["lambdas"] or min(resolved["lambdas"]) <= 0):
         raise ValueError("lambdas must be a non-empty list of positive rates")
-    if "t_end" in resolved:
+    if "scheme" in resolved:
         _integrator_config(resolved)    # scheme, dt and stride, as the run uses them
     return resolved
 
@@ -913,7 +935,6 @@ def run(config: dict, out_dir: str | os.PathLike | None = None) -> RunRecord:
         metrics=metrics,
         status=status,
         wall_time_s=wall,
-        version=__version__,
         abort_reason=abort_reason,
     )
 

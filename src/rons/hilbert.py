@@ -66,10 +66,9 @@ def real_line(half_width: float) -> Domain:
     return Domain("line", (float(half_width),))
 
 
-def plane(half_width_x: float, half_width_y: float | None = None) -> Domain:
-    if half_width_y is None:
-        half_width_y = half_width_x
-    return Domain("plane", (float(half_width_x), float(half_width_y)))
+def plane(half_width: float) -> Domain:
+    """The square [-half_width, half_width]^2."""
+    return Domain("plane", (float(half_width), float(half_width)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ class IntegratorConfig:
     dt: float | None = None       # required for rk4; max step hint for rk45
     rtol: float = 1e-8
     atol: float = 1e-10
-    stride: int = 1               # record every stride-th accepted step
+    stride: int = 1               # record every stride-th accepted step and the last
     max_domain_retries: int = 20
 
     def __post_init__(self):
@@ -74,13 +74,10 @@ class Trajectory:
     tracked quantity and "tangency" one column per enforced constraint.
     """
 
-    labels: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray            # (S, n)
     qdots: np.ndarray             # (S, n)
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
-    quantity_names: tuple[str, ...] = ()
-    constrained: bool = False
 
     def __len__(self) -> int:
         return len(self.times)
@@ -372,11 +369,14 @@ def integrate(
 
 
 class _Recorder:
-    """Collects states and diagnostics at accepted steps.
+    """Collects states and diagnostics at every stride-th accepted step and
+    at the last one.
 
     The steppers call back right after the right-hand side at the accepted
     state, so the reduced system assembled last (`system`, set by the
-    integrator's right-hand side) is the one at that state.
+    integrator's right-hand side) is the one at that state.  A step the
+    stride skips is held, with its system, until the next accepted step,
+    and `build` records it if it was the last.
     """
 
     def __init__(self, family, quantities, track, config):
@@ -389,13 +389,18 @@ class _Recorder:
         self.times, self.states, self.qdots = [], [], []
         self.J, self.J_raw, self.cond_M, self.cond_C = [], [], [], []
         self.invariants, self.tangency = [], []
+        self.skipped = None
 
     def __call__(self, t, y, ydot):
         take = (self.count % self.stride) == 0
         self.count += 1
-        if not take:
-            return
-        system = self.system
+        if take:
+            self.skipped = None
+            self._record(t, y, ydot, self.system)
+        else:
+            self.skipped = (t, y, ydot, self.system)
+
+    def _record(self, t, y, ydot, system):
         if not np.array_equal(system.q, y):
             raise RuntimeError(
                 f"recorder at t = {t:.6g}: the last assembled system is not "
@@ -417,6 +422,9 @@ class _Recorder:
             self.tangency.append(np.abs(constraint_tangency(system, qdot)))
 
     def build(self) -> Trajectory:
+        if self.skipped is not None:
+            self._record(*self.skipped)
+            self.skipped = None
         diag = {
             "J": np.array(self.J),
             "J_raw": np.array(self.J_raw),
@@ -428,11 +436,8 @@ class _Recorder:
         if self.quantities:
             diag["tangency"] = np.array(self.tangency)
         return Trajectory(
-            labels=self.family.labels,
             times=np.array(self.times),
             states=np.array(self.states),
             qdots=np.array(self.qdots),
             diagnostics=diag,
-            quantity_names=tuple(qt.name for qt in self.track),
-            constrained=bool(self.quantities),
         )

@@ -112,19 +112,15 @@ def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):
 
 
 def nlse_dns(
-    u0: SpectralState,
-    dt: float,
-    t_end: float,
-    *,
-    record_every: int = 1,
+    u0: SpectralState, dt: float, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve u_t = i u_xx + i |u|^2 u from u0 with ETDRK4.
 
     The linear part is treated exactly in Fourier space; the cubic term is
-    the nonlinearity.  Returns (times, fields): the field every
-    `record_every` steps as the rows of a (T, n) complex array, initial
-    field first and final field last.  Raises BlowupError with the last
-    finite state if the field stops being finite.
+    the nonlinearity.  Takes round(t_end / dt) steps of dt and returns
+    (times, fields): the field at every step as the rows of a (T, n)
+    complex array, initial field first and final field last.  Raises
+    BlowupError with the last finite state if the field stops being finite.
     """
     # scipy.fft runs the same pocketfft transforms as numpy.fft, with less
     # overhead per call; imported here because importing it at module level
@@ -143,12 +139,10 @@ def nlse_dns(
         return 1j * fft(np.abs(u) ** 2 * u)
 
     n_steps = int(round(t_end / dt))
-    n_records = 1 + n_steps // record_every + (n_steps % record_every > 0)
-    times = np.empty(n_records)
-    fields = np.empty((n_records, n), dtype=complex)
+    times = np.empty(n_steps + 1)
+    fields = np.empty((n_steps + 1, n), dtype=complex)
     times[0], fields[0] = u0.time, u0.values
     v = fft(u0.values)
-    row = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             Nv = nonlin(v)
@@ -159,16 +153,14 @@ def nlse_dns(
             c = E2 * a + Q * (2.0 * Nb - Nv)
             Nc = nonlin(c)
             v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-            if step % record_every == 0 or step == n_steps:
-                t = u0.time + step * dt
-                u = ifft(v)
-                if not np.all(np.isfinite(u)):
-                    raise BlowupError(
-                        f"spectral solution lost finiteness at t = {t:.6g}",
-                        last_state=SpectralState(u0.length, fields[row], times[row]),
-                    )
-                row += 1
-                times[row], fields[row] = t, u
+            t = u0.time + step * dt
+            u = ifft(v)
+            if not np.all(np.isfinite(u)):
+                raise BlowupError(
+                    f"spectral solution lost finiteness at t = {t:.6g}",
+                    last_state=SpectralState(u0.length, fields[step - 1], times[step - 1]),
+                )
+            times[step], fields[step] = t, u
     return times, fields
 
 
@@ -179,11 +171,10 @@ def nlse_dns(
 
 @dataclass(frozen=True, eq=False)
 class PointVortexState:
-    """N point vortices: strengths Gamma_i and centers x_i."""
+    """N point vortices: strengths Gamma_i and centers x_i at t = 0."""
 
     strengths: np.ndarray
     centers: np.ndarray     # (N, 2)
-    time: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -194,17 +185,8 @@ class PointVortexState:
         )
         if len(self.strengths) != len(self.centers):
             raise ValueError("one strength per center required")
-        if _min_separation(self.centers) <= 0:
+        if len(np.unique(self.centers, axis=0)) < len(self.centers):
             raise ValueError("vortex centers must be distinct")
-
-
-def _min_separation(centers: np.ndarray) -> float:
-    if len(centers) < 2:
-        return np.inf
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
 
 
 def point_vortex_hamiltonian(strengths, centers) -> float:
@@ -219,11 +201,16 @@ def point_vortex_hamiltonian(strengths, centers) -> float:
     return float(-np.sum(np.outer(g, g) * logd) / (4.0 * np.pi))
 
 
-def _pv_rhs(strengths: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _pv_rhs(strengths: np.ndarray, flat: np.ndarray, min_separation: float) -> np.ndarray:
     centers = flat.reshape(-1, 2)
     diff = centers[:, None, :] - centers[None, :, :]       # x_i - x_j
     r2 = np.sum(diff**2, axis=2)
     np.fill_diagonal(r2, np.inf)
+    if np.sqrt(r2.min()) < min_separation:
+        raise CollisionError(
+            f"vortex centers closer than {min_separation}; the "
+            "Hamiltonian is singular at coincidence"
+        )
     coef = strengths[None, :] / (2.0 * np.pi * r2)          # Gamma_j / (2 pi r^2)
     vx = -np.sum(coef * diff[:, :, 1], axis=1)
     vy = np.sum(coef * diff[:, :, 0], axis=1)
@@ -246,21 +233,11 @@ def point_vortex(
     spacing).  Aborts with CollisionError if any two centers come within
     `min_separation`, where the logarithmic Hamiltonian is about to blow up.
     """
-
-    def rhs(_t, y):
-        centers = y.reshape(-1, 2)
-        if _min_separation(centers) < min_separation:
-            raise CollisionError(
-                f"vortex centers closer than {min_separation}; the "
-                "Hamiltonian is singular at coincidence"
-            )
-        return _pv_rhs(state.strengths, y)
-
     times, ys, _ = solve_adaptive_rk45(
-        rhs,
-        state.time,
+        lambda _t, y: _pv_rhs(state.strengths, y, min_separation),
+        0.0,
         state.centers.ravel(),
-        state.time + t_end,
+        t_end,
         rtol=rtol,
         atol=atol,
         max_step=dt,
@@ -309,13 +286,16 @@ def core_centroid_velocities(
 # ---------------------------------------------------------------------------
 
 
+# largest Gram-matrix deviation from the identity that `galerkin_rhs`
+# accepts as orthonormal on the rule
+_ORTHONORMAL_TOL = 1e-8
+
+
 def galerkin_rhs(
     family: LinearModes,
     q,
     model: PdeModel,
     rule: QuadratureRule,
-    *,
-    orthonormal_tol: float = 1e-8,
 ) -> np.ndarray:
     """qdot_k = <u_k, F(u)> for an orthonormal mode set.
 
@@ -329,7 +309,7 @@ def galerkin_rhs(
     gram = np.array(
         [[inner_product(mi, mj, rule) for mj in mode_fields] for mi in mode_fields]
     )
-    if np.max(np.abs(gram - np.eye(n))) > orthonormal_tol:
+    if np.max(np.abs(gram - np.eye(n))) > _ORTHONORMAL_TOL:
         raise ValueError(
             "modes are not orthonormal on this rule "
             f"(max Gram deviation {np.max(np.abs(gram - np.eye(n))):.2e})"
@@ -350,7 +330,6 @@ class InstabilityResult:
     rates: np.ndarray
     times: np.ndarray
     q: np.ndarray          # (steps, n_modes)
-    qdot: np.ndarray
     fitted_rates: np.ndarray
 
 
@@ -370,8 +349,6 @@ def finite_time_instability(
     qdot0,
     t_end: float,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-14,
     generic_frame: bool = True,
 ) -> InstabilityResult:
     """Integrate the decoupled modes qddot_k = lambda_k^2 q_k.
@@ -379,8 +356,9 @@ def finite_time_instability(
     These are the Euler-Lagrange equations of the accumulated-error action
     for a self-adjoint dissipative operator with eigenvalues -lambda_k; each
     mode mixes e^{+lambda t} and e^{-lambda t}, so even the decaying branch
-    is numerically unstable: rounding excites the growing solution.  Growth
-    rates are fitted on the final half of the run.
+    is numerically unstable: rounding excites the growing solution.  The
+    modes are integrated at rtol 1e-10, atol 1e-14, and growth rates are
+    fitted on the final half of the run.
 
     With generic_frame=True (default) each mode's phase plane is rotated by
     a fixed angle before integrating, which is how the system presents
@@ -409,10 +387,7 @@ def finite_time_instability(
         return np.concatenate([ct * dq - st * dv, st * dq + ct * dv])
 
     z0 = np.concatenate([ct * q0 - st * qdot0, st * q0 + ct * qdot0])
-    times, zs, _ = solve_adaptive_rk45(rhs, 0.0, z0, t_end, rtol=rtol, atol=atol)
+    times, zs, _ = solve_adaptive_rk45(rhs, 0.0, z0, t_end, rtol=1e-10, atol=1e-14)
     qs = ct * zs[:, :nm] + st * zs[:, nm:]
-    qdots = -st * zs[:, :nm] + ct * zs[:, nm:]
     fitted = np.array([fit_growth_rate(times, qs[:, j]) for j in range(nm)])
-    return InstabilityResult(
-        rates=lams, times=times, q=qs, qdot=qdots, fitted_rates=fitted
-    )
+    return InstabilityResult(rates=lams, times=times, q=qs, fitted_rates=fitted)

@@ -33,6 +33,10 @@ def test_run_validation_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", {"experiment": "not-registered"})
     assert main(["run", cfg]) == 1
     assert "error" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "cfg.json", {"experiment": "advdiff-exact", "t_end": None})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "t_end must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
@@ -94,11 +98,30 @@ def test_sweep_command(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_sweep_workers_write_the_same_files(tmp_path, capsys):
+    template = _write_config(
+        tmp_path / "tpl.json", {"experiment": "advdiff-exact", "t_end": 0.5}
+    )
+    for workers in ("1", "2"):
+        code = main(["sweep", template, "nu", "0.05", "0.2", "--workers", workers,
+                     "--out", str(tmp_path / workers)])
+        assert code == 0
+    csvs = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.csv"))
+    assert len(csvs) == 2 * 4
+    for rel in csvs:
+        assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes()
+
+
 def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     template = _write_config(
         tmp_path / "tpl.json", {"experiment": "advdiff-exact", "t_end": 1.0}
     )
     assert main(["sweep", template, "nonsense", "1", "2"]) == 1
+    # a bad value fails the sweep before any of its runs starts
+    out = tmp_path / "sweep"
+    assert main(["sweep", template, "nu", "0.1", "-1", "--out", str(out)]) == 1
+    assert main(["sweep", template, "resolution", "64", "64.5", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def _strict_json(text):

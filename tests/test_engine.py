@@ -259,15 +259,6 @@ def test_stacked_solve_matches_null_space_least_squares(case):
     assert np.max(np.abs(constraint_tangency(system, qdot))) <= 1e-12
 
 
-def test_jitter_is_flagged():
-    fam = SineWave()
-    model = advection_diffusion(1.0, 0.1)
-    rule = make_rule(periodic_interval(2 * np.pi), 64)
-    with pytest.warns(UserWarning, match="jittered"):
-        system = assemble(fam, [1.0, 1.0, 0.0], model, rule, jitter=1e-10)
-    assert system.jittered
-
-
 def test_condition_estimates_positive():
     fam = GaussianWavePacket()
     model = nlse()

@@ -79,11 +79,86 @@ def test_resolve_config_validation():
     {"experiment": "nlse-focusing", "dns_dt": 0},
     {"experiment": "appendixA-instability", "lambdas": []},
     {"experiment": "appendixA-instability", "lambdas": [1.0, -0.5]},
+    # values of the wrong type, length or range
+    {"experiment": "advdiff-exact", "t_end": None},
+    {"experiment": "advdiff-exact", "t_end": "2"},
+    {"experiment": "advdiff-exact", "q0": [1.0, 1.0]},
+    {"experiment": "euler-pair", "q0": [1.0, 1.0, -1.0, 0.0, 1.0, 1.0, 1.0]},
+    {"experiment": "nlse-focusing", "dns_modes": 500},
+    {"experiment": "nlse-focusing", "dns_modes": 8},
+    {"experiment": "nlse-focusing", "dns_length": 0.0},
+    {"experiment": "fit-demo", "half_width": -1},
+    {"experiment": "advdiff-exact", "snapshots": 2.5},
+    {"experiment": "galerkin-equivalence", "n_states": 2.5},
+    {"experiment": "galerkin-equivalence", "n_modes": 0},
+    {"experiment": "galerkin-equivalence", "seed": -1},
+    {"experiment": "fit-demo", "n_starts": 0},
+    {"experiment": "advdiff-exact", "resolution": 100.7},
+    {"experiment": "advdiff-exact", "rtol": True},
+    {"experiment": "advdiff-exact", "rtol": float("nan")},
+    {"experiment": "nlse-unconstrained", "constrained": "no"},
+    {"experiment": "euler-dipole", "window_pad": -1},
+    {"experiment": "appendixA-instability", "t_horizon_over_lambda": 0},
+    # keys no runner of the experiment reads
+    {"experiment": "galerkin-equivalence", "scheme": "rk45"},
+    {"experiment": "appendixA-instability", "dt": 0.1},
+    {"experiment": "advdiff-exact", "constrained": True},
+    {"experiment": "euler-pair", "seed": 1},
 ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items() if k != "experiment"))
 def test_config_errors_raise_before_anything_is_written(config, tmp_path):
     with pytest.raises(ValueError):
         run(config, out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+# short runs that still reach every config read of each runner
+SHORT = {
+    "advdiff-exact": {"t_end": 0.1},
+    "nlse-focusing": {"t_end": 0.5},
+    "nlse-defocusing": {"t_end": 0.5},
+    "nlse-unconstrained": {"t_end": 0.5},
+    "euler-dipole": {"t_end": 0.05, "resolution": 48},
+    # long enough for the pair's rate fits over thirds of the run
+    "euler-pair": {"t_end": 0.5, "resolution": 48},
+    "euler-leapfrog": {"t_end": 0.05, "resolution": 48},
+    "galerkin-equivalence": {"n_states": 2},
+    "appendixA-instability": {"t_horizon_over_lambda": 1.0},
+    "fit-demo": {},
+}
+
+
+class _ReadRecorder(dict):
+    """A config that records which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(SHORT))
+def test_every_declared_key_is_read(name, tmp_path):
+    spec = EXPERIMENTS[name]
+    config = _ReadRecorder(resolve_config({"experiment": name, **SHORT[name]}))
+    spec.runner(config, tmp_path, {}, {})
+    # `run` reads out_dir before it calls the runner
+    assert set(spec.defaults) - {"out_dir"} - config.read == set()
+
+
+def test_stride_keeps_the_last_step(tmp_path):
+    record = run(
+        {"experiment": "advdiff-exact", "stride": 1000, "t_end": 2.0}, out_dir=tmp_path
+    )
+    assert record.status == "ok"
+    _, data = _read(tmp_path / "trajectory.csv")
+    assert data[0, 0] == 0.0 and data[-1, 0] == 2.0
 
 
 @pytest.fixture(scope="module")

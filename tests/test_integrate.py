@@ -200,11 +200,14 @@ def test_domain_boundary_aborts_with_partial_trajectory(advdiff_setup):
 def test_stride_thins_records(advdiff_setup):
     fam, model, rule = advdiff_setup
     cfg_all = IntegratorConfig(t_end=2.0, scheme="rk4", dt=0.1)
-    cfg_thin = IntegratorConfig(t_end=2.0, scheme="rk4", dt=0.1, stride=5)
+    # 20 steps: stride 3 records steps 0, 3, ..., 18 and then the last one
+    cfg_thin = IntegratorConfig(t_end=2.0, scheme="rk4", dt=0.1, stride=3)
     full = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg_all)
     thin = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg_thin)
     assert len(thin) < len(full)
     assert thin.times[0] == 0.0
+    assert thin.times[-1] == 2.0
+    assert np.array_equal(thin.states[-1], full.states[-1])
 
 
 def test_integrator_config_validation():

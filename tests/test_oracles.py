@@ -43,10 +43,6 @@ def test_dns_zero_stays_zero():
     times, fields = nlse_dns(u0, 0.025, 1.0)
     assert fields.shape == (41, 64) and times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(fields)) == 0.0
-    # every third of 40 steps, then the final one
-    times, fields = nlse_dns(u0, 0.025, 1.0, record_every=3)
-    assert fields.shape == (15, 64)
-    assert times == pytest.approx(np.r_[0.025 * np.arange(0, 40, 3), 1.0])
 
 
 def test_dns_plane_wave_exact():
@@ -64,8 +60,8 @@ def test_dns_mass_conserved_long_run():
     fam = GaussianWavePacket()
     x = spectral_grid(LENGTH, 512)
     u0 = SpectralState(LENGTH, fam.evaluate(x, np.array([0.2, 5.0, 0.0, 0.0])))
-    times, fields = nlse_dns(u0, 0.025, 40.0, record_every=40)
-    assert times == pytest.approx(np.arange(41.0))
+    times, fields = nlse_dns(u0, 0.025, 40.0)
+    assert times[::40] == pytest.approx(np.arange(41.0))
     masses = np.sum(np.abs(fields) ** 2, axis=1) * u0.dx
     assert np.max(np.abs(masses - masses[0])) / masses[0] <= 1e-8
 
