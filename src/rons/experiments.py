@@ -70,13 +70,25 @@ __all__ = [
 ]
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: Path, header: list[str], table) -> None:
     """The header as a csv row, then each row of the float table with every
-    value at 17 significant digits ("%.17g"), CRLF line ends as csv.writer."""
+    value at 17 significant digits ("%.17g"), CRLF line ends as csv.writer;
+    the bytes of np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")."""
     table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
+        # one small string per row, and Python floats for at most
+        # _CSV_BLOCK_ROWS rows at a time: one string per block of rows (tens
+        # of kB, from the C heap) raised catalog-1d's peak RSS by 10-17 MB in
+        # most benchmark runs, and converting a whole table at once raised
+        # leapfrog's (fields.csv is 20480 rows) by 6 MB
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS].tolist()
+            fh.writelines(row % tuple(values) for values in block)
 
 
 def _read_series(path: Path):
@@ -423,11 +435,16 @@ def _pair_metrics(traj, pv, cores):
     sep = np.linalg.norm(rel, axis=1)
     theta = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     omega = _fit_angular_velocity(traj.times, theta)
-    # windowed fits quantify how constant the rotation rate is
+    # windowed fits quantify how constant the rotation rate is; a third of
+    # fewer than three steps fits no meaningful rate (NaN, null in summary.json)
     thirds = np.array_split(np.arange(len(traj.times)), 3)
-    omega_windows = [
-        _fit_angular_velocity(traj.times[idx], theta[idx]) for idx in thirds
-    ]
+    if min(map(len, thirds)) < 3:
+        rate_variation = np.nan
+    else:
+        omega_windows = [
+            _fit_angular_velocity(traj.times[idx], theta[idx]) for idx in thirds
+        ]
+        rate_variation = float((max(omega_windows) - min(omega_windows)) / abs(omega))
     strengths, pv_t, pv_x = pv
     rel_pv = pv_x[:, 1] - pv_x[:, 0]
     th_pv = np.unwrap(np.arctan2(rel_pv[:, 1], rel_pv[:, 0]))
@@ -439,9 +456,7 @@ def _pair_metrics(traj, pv, cores):
     return {
         "separation_drift_rel": float(np.max(np.abs(sep - sep[0])) / sep[0]),
         "rons_angular_velocity": omega,
-        "angular_velocity_rel_variation": float(
-            (max(omega_windows) - min(omega_windows)) / abs(omega)
-        ),
+        "angular_velocity_rel_variation": rate_variation,
         "revolutions": float((theta[-1] - theta[0]) / (2 * np.pi)),
         "euler_core_angular_velocity": float((V[1] - V[0]) @ perp / d_core),
         "pv_angular_velocity_core": om_pv,
@@ -770,7 +785,22 @@ def _is_real(value) -> bool:
     """A finite int or float; a bool is not a number here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return abs(value) <= sys.float_info.max         # False for nan and +-inf
+    # compared as a Python number: a float32 would cast the bound to inf
+    return abs(_plain(value)) <= sys.float_info.max  # False for nan and +-inf
+
+
+def _plain(value):
+    """An accepted config value as JSON writes it: numpy integers and floats
+    become Python int and float, in lists too."""
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    return value
 
 
 def _check_kind(key, value, default) -> None:
@@ -829,7 +859,8 @@ def resolve_config(config: dict) -> dict:
     for key, value in config.items():
         if key != "experiment":
             _check_kind(key, value, spec.defaults[key])
-    resolved.update(config)
+            resolved[key] = _plain(value)
+    resolved["experiment"] = name
 
     if "q0" in resolved:
         resolved["q0"] = [float(v) for v in resolved["q0"]]
@@ -845,6 +876,15 @@ def resolve_config(config: dict) -> dict:
             raise ValueError("dns_modes must be a power of two >= 16")
     if "lambdas" in resolved and (not resolved["lambdas"] or min(resolved["lambdas"]) <= 0):
         raise ValueError("lambdas must be a non-empty list of positive rates")
+    if "n_modes" in resolved:
+        # the equispaced rule on N nodes integrates the products of modes up
+        # to wavenumber k exactly, keeping them orthonormal, only if 2k < N
+        top = (resolved["n_modes"] + 1) // 2
+        if 2 * top >= resolved["resolution"]:
+            raise ValueError(
+                f"n_modes {resolved['n_modes']} reaches wavenumber {top}, which "
+                f"needs resolution > {2 * top}, not {resolved['resolution']}"
+            )
     if "scheme" in resolved:
         _integrator_config(resolved)    # scheme, dt and stride, as the run uses them
     return resolved

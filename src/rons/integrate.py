@@ -14,6 +14,7 @@ themselves broke down, and no step size fixes that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,10 @@ _DP_A = [
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# the stage times as Python floats, and which stages share the previous
+# stage's time (only the seventh: stages 6 and 7 both sit at c = 1)
+_DP_C_FLOAT = _DP_C.tolist()
+_DP_SAME_C = [s > 0 and _DP_C[s] == _DP_C[s - 1] for s in range(len(_DP_C))]
 
 
 class _StageRejected(Exception):
@@ -162,17 +167,24 @@ class StepSizeUnderflow(RuntimeError):
     """
 
 
+def _rms(x: np.ndarray) -> float:
+    """||x|| / sqrt(len(x)) of a 1-D real array, with the norm computed as
+    np.linalg.norm computes it, sqrt(x.dot(x)), without its per-call
+    overhead."""
+    return math.sqrt(x.dot(x)) / math.sqrt(x.size)
+
+
 def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y0)
-    d0 = np.linalg.norm(y0 / scale) / np.sqrt(y0.size)
-    d1 = np.linalg.norm(f0 / scale) / np.sqrt(y0.size)
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     try:
         f1 = f(t0 + h0, y0 + h0 * f0)
     except _StageRejected:
         return h0 * 1e-3
-    d2 = np.linalg.norm((f1 - f0) / scale) / np.sqrt(y0.size) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -227,12 +239,12 @@ def solve_adaptive_rk45(
             try:
                 for s in range(1, n_stages):
                     prev, ys = ys, y + h * (_DP_A[s] @ k[:s])
-                    if _DP_C[s] == _DP_C[s - 1] and np.array_equal(ys, prev):
-                        # stages 6 and 7 both sit at c = 1: when qdot is
-                        # constant over the step they land on the same state
+                    if _DP_SAME_C[s] and (ys == prev).all():
+                        # when qdot is constant over the step, stages 6 and
+                        # 7 land on the same state
                         k[s] = k[s - 1]
                     else:
-                        k[s] = f(t + _DP_C[s] * h, ys)
+                        k[s] = f(t + _DP_C_FLOAT[s] * h, ys)
             except _StageRejected:
                 domain_retries += 1
                 if domain_retries > max_domain_retries:
@@ -243,7 +255,7 @@ def solve_adaptive_rk45(
             y5 = ys
             y4 = y + h * (_DP_B4 @ k)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = np.linalg.norm((y5 - y4) / scale) / np.sqrt(y.size)
+            err = _rms((y5 - y4) / scale)
             if err <= 1.0:
                 t = t + h
                 y = y5

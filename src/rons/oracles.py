@@ -133,26 +133,32 @@ def nlse_dns(
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=u0.dx)
     lin = -1j * k**2
     E, E2, Q, f1, f2, f3 = _etdrk4_tables(lin, dt)
+    # the nonlinearity is i times `cubic`; the factor i, and the 2 that
+    # weights f2, go into the tables once
+    Q, f1, f2, f3 = 1j * Q, 1j * f1, 2j * f2, 1j * f3
 
-    def nonlin(v_hat):
-        u = ifft(v_hat)
-        return 1j * fft(np.abs(u) ** 2 * u)
+    def cubic(u):
+        return fft(np.abs(u) ** 2 * u)
 
     n_steps = int(round(t_end / dt))
     times = np.empty(n_steps + 1)
     fields = np.empty((n_steps + 1, n), dtype=complex)
     times[0], fields[0] = u0.time, u0.values
     v = fft(u0.values)
+    u = ifft(v)
+    # eight transforms per step: the field u = ifft(v) that a step starts
+    # from is the one the previous step ended with
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            Nv = nonlin(v)
-            a = E2 * v + Q * Nv
-            Na = nonlin(a)
-            b = E2 * v + Q * Na
-            Nb = nonlin(b)
+            Nv = cubic(u)
+            E2v = E2 * v
+            a = E2v + Q * Nv
+            Na = cubic(ifft(a))
+            b = E2v + Q * Na
+            Nb = cubic(ifft(b))
             c = E2 * a + Q * (2.0 * Nb - Nv)
-            Nc = nonlin(c)
-            v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+            Nc = cubic(ifft(c))
+            v = E * v + f1 * Nv + f2 * (Na + Nb) + f3 * Nc
             t = u0.time + step * dt
             u = ifft(v)
             if not np.all(np.isfinite(u)):
@@ -343,6 +349,30 @@ def fit_growth_rate(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(t[good], np.log(v[good]), 1)[0])
 
 
+def _rotated_modes_rhs(lams: np.ndarray, theta: float):
+    """Right-hand side f(t, z) of qddot_k = lambda_k^2 q_k in phase planes
+    rotated by theta: z = (zq, zv) with [zq_k, zv_k] = R [q_k, qdot_k].
+
+    Float arithmetic over the modes, with the products and sums of the
+    array formula in its order, so a call costs no array operation.
+    """
+    nm = len(lams)
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    lam2 = (lams**2).tolist()
+
+    def rhs(_t, z):
+        # z' = R B R^T z per mode, B = [[0, 1], [lambda^2, 0]]
+        zs = z.tolist()
+        out_q, out_v = [], []
+        for zq, zv, l2 in zip(zs[:nm], zs[nm:], lam2):
+            dq, dv = -s * zq + c * zv, l2 * (c * zq + s * zv)
+            out_q.append(c * dq - s * dv)
+            out_v.append(s * dq + c * dv)
+        return np.array(out_q + out_v)
+
+    return rhs
+
+
 def finite_time_instability(
     lams,
     q0,
@@ -377,17 +407,10 @@ def finite_time_instability(
 
     theta = 0.6 if generic_frame else 0.0
     ct, st = np.cos(theta), np.sin(theta)
-
-    def rhs(_t, z):
-        # per mode: z = R [q, qdot], z' = R B R^T z with B = [[0,1],[lam^2,0]]
-        zq, zv = z[:nm], z[nm:]
-        q = ct * zq + st * zv
-        v = -st * zq + ct * zv
-        dq, dv = v, lams**2 * q
-        return np.concatenate([ct * dq - st * dv, st * dq + ct * dv])
-
     z0 = np.concatenate([ct * q0 - st * qdot0, st * q0 + ct * qdot0])
-    times, zs, _ = solve_adaptive_rk45(rhs, 0.0, z0, t_end, rtol=1e-10, atol=1e-14)
+    times, zs, _ = solve_adaptive_rk45(
+        _rotated_modes_rhs(lams, theta), 0.0, z0, t_end, rtol=1e-10, atol=1e-14
+    )
     qs = ct * zs[:, :nm] + st * zs[:, nm:]
     fitted = np.array([fit_growth_rate(times, qs[:, j]) for j in range(nm)])
     return InstabilityResult(rates=lams, times=times, q=qs, fitted_rates=fitted)

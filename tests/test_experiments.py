@@ -92,10 +92,14 @@ def test_resolve_config_validation():
     {"experiment": "galerkin-equivalence", "n_states": 2.5},
     {"experiment": "galerkin-equivalence", "n_modes": 0},
     {"experiment": "galerkin-equivalence", "seed": -1},
+    # modes the equispaced rule cannot keep orthonormal
+    {"experiment": "galerkin-equivalence", "n_modes": 64, "n_states": 2},
+    {"experiment": "galerkin-equivalence", "n_modes": 63},
     {"experiment": "fit-demo", "n_starts": 0},
     {"experiment": "advdiff-exact", "resolution": 100.7},
     {"experiment": "advdiff-exact", "rtol": True},
     {"experiment": "advdiff-exact", "rtol": float("nan")},
+    {"experiment": "advdiff-exact", "t_end": np.float32("inf")},
     {"experiment": "nlse-unconstrained", "constrained": "no"},
     {"experiment": "euler-dipole", "window_pad": -1},
     {"experiment": "appendixA-instability", "t_horizon_over_lambda": 0},
@@ -109,6 +113,40 @@ def test_config_errors_raise_before_anything_is_written(config, tmp_path):
     with pytest.raises(ValueError):
         run(config, out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+def test_numpy_scalars_are_written_as_json_numbers(tmp_path):
+    config = {
+        "experiment": "advdiff-exact",
+        "resolution": np.int64(64),
+        "t_end": np.float32(0.5),
+        "q0": [np.int64(1), 1.0, np.float64(0.0)],
+    }
+    record = run(config, out_dir=tmp_path)
+    assert record.status == "ok"
+    written = json.loads((tmp_path / "config.json").read_text())
+    assert written == record.config
+    assert type(written["resolution"]) is int and written["resolution"] == 64
+    assert type(written["t_end"]) is float and written["t_end"] == 0.5
+    assert written["q0"] == [1.0, 1.0, 0.0]
+
+
+def test_galerkin_accepts_the_most_modes_the_rule_resolves(tmp_path):
+    # 62 modes stop at wavenumber 31, which 64 nodes resolve; 63 reach 32
+    record = run(
+        {"experiment": "galerkin-equivalence", "n_modes": 62, "n_states": 2},
+        out_dir=tmp_path,
+    )
+    assert record.status == "ok" and record.metrics["max_rhs_deviation"] < 1e-10
+
+
+def test_short_pair_run_records_no_rate_variation(tmp_path):
+    # thirds of fewer than three steps fit no rate; polyfit must not be asked
+    record = run({"experiment": "euler-pair", "t_end": 0.05, "resolution": 48}, out_dir=tmp_path)
+    assert record.status == "ok"
+    summary = json.loads(record.summary_path.read_text())
+    assert summary["metrics"]["angular_velocity_rel_variation"] is None
+    assert np.isfinite(summary["metrics"]["rons_angular_velocity"])
 
 
 # short runs that still reach every config read of each runner
@@ -174,6 +212,21 @@ def _reference_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{float(x):.17g}" for x in row])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1024, 2500])
+def test_csv_writer_matches_savetxt(rows, tmp_path):
+    # blocks of rows, the last one partial, give np.savetxt's bytes
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    every_fifth = table.reshape(-1)[::5]        # a view into table
+    every_fifth[:] = np.resize([np.nan, -0.0, np.inf, -np.inf, 5e-324, 0.1], every_fifth.size)
+    header = ["t", "a", "b"]
+    _write_csv(tmp_path / "blocks.csv", header, table)
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_csv_writer_matches_per_value_formatting(tmp_path):

@@ -8,9 +8,13 @@ from rons.errors import DomainError, IntegrationAbort
 from rons.experiments import EXPERIMENTS, run
 from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
 from rons.integrate import (
+    _DP_A,
+    _DP_B4,
+    _DP_C,
     IntegratorConfig,
     Trajectory,
     integrate,
+    solve_adaptive_rk45,
     solve_fixed_rk4,
 )
 from rons.models import ConservedQuantity, PdeModel, advection_diffusion, nlse, vorticity
@@ -347,3 +351,78 @@ def test_rk4_advdiff_assembles_each_state_once(assembled_states, advdiff_setup):
     assert len(traj) == 9
     assert len(assembled_states) == 4 * 8 + 1
     assert len(set(assembled_states)) == len(assembled_states)
+
+
+# -- DP5(4) step control against its reference form -------------------------
+
+
+def _reference_rk45(f, t0, y0, t_end, rtol, atol):
+    """DP5(4) with the step control written out in its reference form:
+    np.linalg.norm for the error norms, np.array_equal for the repeated
+    seventh stage, the stage times read from the numpy tableau."""
+
+    def rms(x):
+        return np.linalg.norm(x) / np.sqrt(x.size)
+
+    y, t = np.asarray(y0, dtype=float).copy(), float(t0)
+    k0 = f(t, y)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = rms(y / scale), rms(k0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = rms((f(t + h0, y + h0 * k0) - k0) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100 * h0, h1, t_end - t)
+    times, states, derivs = [t], [y], [k0]
+    while t < t_end:
+        h = min(h, t_end - t)
+        k = np.empty((7, y.size))
+        k[0] = k0
+        ys = y
+        for s in range(1, 7):
+            prev, ys = ys, y + h * (_DP_A[s] @ k[:s])
+            if _DP_C[s] == _DP_C[s - 1] and np.array_equal(ys, prev):
+                k[s] = k[s - 1]
+            else:
+                k[s] = f(t + _DP_C[s] * h, ys)
+        y4 = y + h * (_DP_B4 @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ys))
+        err = rms((ys - y4) / scale)
+        if err <= 1.0:
+            t, y, k0 = t + h, ys, k[-1].copy()
+            times.append(t)
+            states.append(y)
+            derivs.append(k0)
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        else:
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+    return np.array(times), np.array(states), np.array(derivs)
+
+
+def _instability_system():
+    # qddot_k = lambda_k^2 q_k for three modes in phase planes rotated by 0.6
+    lams, ct, st = np.array([0.5, 1.0, 2.0]), np.cos(0.6), np.sin(0.6)
+
+    def f(_t, z):
+        q = ct * z[:3] + st * z[3:]
+        dq, dv = -st * z[:3] + ct * z[3:], lams**2 * q
+        return np.concatenate([ct * dq - st * dv, st * dq + ct * dv])
+
+    return f, np.array([1.0, 0.5, -1.0, 0.0, -0.5, 2.0]), 20.0, 1e-10, 1e-14
+
+
+def _van_der_pol():
+    def f(_t, y):
+        return np.array([y[1], 2.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+    return f, np.array([2.0, 0.0]), 15.0, 1e-8, 1e-10
+
+
+@pytest.mark.parametrize("system", [_instability_system, _van_der_pol])
+def test_rk45_matches_reference_step_control_bit_for_bit(system):
+    f, y0, t_end, rtol, atol = system()
+    got = solve_adaptive_rk45(f, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    want = _reference_rk45(f, 0.0, y0, t_end, rtol, atol)
+    assert len(got[0]) > 100
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft
 
 from rons.ansatz import GaussianWavePacket, LinearModes, fourier_modes
 from rons.engine import assemble, reduced_rhs
@@ -9,6 +10,8 @@ from rons.models import advection_diffusion
 from rons.oracles import (
     PointVortexState,
     SpectralState,
+    _etdrk4_tables,
+    _rotated_modes_rhs,
     exact_advdiff,
     finite_time_instability,
     galerkin_rhs,
@@ -85,6 +88,41 @@ def test_dns_refinement_gate(q0, t_end):
     base = peak(512, 0.025)
     assert abs(peak(1024, 0.025) - base) < 1e-5
     assert abs(peak(512, 0.0125) - base) < 1e-5
+
+
+def _nine_transform_dns(u0, dt, t_end):
+    """ETDRK4 in its reference form: the nonlinearity 1j * fft(|u|^2 u) of
+    u = ifft(v) at each of the four stages, nine transforms per step."""
+    k = 2.0 * np.pi * np.fft.fftfreq(len(u0.values), d=u0.dx)
+    E, E2, Q, f1, f2, f3 = _etdrk4_tables(-1j * k**2, dt)
+
+    def nonlin(v_hat):
+        u = ifft(v_hat)
+        return 1j * fft(np.abs(u) ** 2 * u)
+
+    v, fields = fft(u0.values), [u0.values]
+    for _ in range(int(round(t_end / dt))):
+        Nv = nonlin(v)
+        a = E2 * v + Q * Nv
+        Na = nonlin(a)
+        b = E2 * v + Q * Na
+        Nb = nonlin(b)
+        c = E2 * a + Q * (2.0 * Nb - Nv)
+        Nc = nonlin(c)
+        v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+        fields.append(ifft(v))
+    return np.array(fields)
+
+
+def test_dns_matches_nine_transform_reference():
+    # the focusing packet through its peak: reusing the last step's field
+    # and folding i and 2 into the tables moves only rounding
+    x = spectral_grid(LENGTH, 512)
+    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, np.array([0.2, 20.0, -0.05, 0.0])))
+    _, fields = nlse_dns(u0, 0.025, 60.0)
+    reference = _nine_transform_dns(u0, 0.025, 60.0)
+    assert fields.shape == reference.shape
+    assert np.max(np.abs(fields - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_dns_blowup_reports_last_state():
@@ -224,6 +262,25 @@ def test_instability_eigenframe_exception_documented():
     # guards the documented behavior of the generic_frame switch
     res = finite_time_instability([1.0], [1.0], [-1.0], 40.0, generic_frame=False)
     assert res.fitted_rates[0] < 0.0
+
+
+@pytest.mark.parametrize("theta", [0.6, 0.0])
+def test_instability_rhs_matches_array_formula_bit_for_bit(theta):
+    lams = np.array([0.3, 1.0, 2.9])
+    ct, st = np.cos(theta), np.sin(theta)
+
+    def array_rhs(z):
+        zq, zv = z[:3], z[3:]
+        q = ct * zq + st * zv
+        v = -st * zq + ct * zv
+        dq, dv = v, lams**2 * q
+        return np.concatenate([ct * dq - st * dv, st * dq + ct * dv])
+
+    rhs = _rotated_modes_rhs(lams, theta)
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((500, 6)) * 10.0 ** rng.integers(-30, 30, (500, 1))
+    for z in states:
+        assert np.array_equal(rhs(0.0, z), array_rhs(z))
 
 
 def test_instability_rejects_bad_rates():
