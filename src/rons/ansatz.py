@@ -51,7 +51,7 @@ class AnsatzFamily:
     """Common interface of all ansatz families.
 
     Subclasses must set `name` and `labels` and implement `domain_violation`,
-    `evaluate`, `tangent` and `spatial_derivative`.
+    `evaluate`, `tangent_stack` and `spatial_derivative`.
     """
 
     name: str = "ansatz"
@@ -69,12 +69,12 @@ class AnsatzFamily:
         raise NotImplementedError
 
     def domain_check(self, q) -> bool:
-        q = np.asarray(q, dtype=float)
-        if len(q) != self.n:
+        """Whether `require_valid(q)` passes."""
+        try:
+            self.require_valid(q)
+        except DomainError:
             return False
-        if not np.all(np.isfinite(q)):
-            return False
-        return self.domain_violation(q) is None
+        return True
 
     def require_valid(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -94,12 +94,9 @@ class AnsatzFamily:
     def evaluate(self, points, q) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent(self, points, q, i: int) -> np.ndarray:
-        raise NotImplementedError
-
     def tangent_stack(self, points, q) -> np.ndarray:
-        """All tangent fields as an (n, P) array."""
-        return np.stack([self.tangent(points, q, i) for i in range(self.n)])
+        """The tangent fields du/dq_i as the rows of an (n, P) array."""
+        raise NotImplementedError
 
     def spatial_derivative(self, points, q, order) -> np.ndarray:
         """Spatial derivative; `order` is an int in 1D, an (ax, ay) pair in 2D."""
@@ -139,6 +136,15 @@ _AXIS_POLYNOMIALS = np.array([
 _AXIS_R_POWERS = np.array([0, 1, 2, 3, 4, 0, 1, 2])
 
 
+def _amplitude_length_violation(A, L) -> str | None:
+    """The domain of the families with an amplitude A and a width L."""
+    if A < _EPS:
+        return f"amplitude A = {A} must be positive"
+    if L < _EPS:
+        return f"length scale L = {L} must be positive"
+    return None
+
+
 class SineWave(AnsatzFamily):
     """u(x; A, L, phi) = A sin(x / L + phi) on a periodic interval."""
 
@@ -146,28 +152,18 @@ class SineWave(AnsatzFamily):
     labels = ("A", "L", "phi")
 
     def domain_violation(self, q):
-        A, L, _ = q
-        if A < _EPS:
-            return f"amplitude A = {A} must be positive"
-        if L < _EPS:
-            return f"length scale L = {L} must be positive"
-        return None
+        return _amplitude_length_violation(q[0], q[1])
 
     def evaluate(self, points, q):
         A, L, phi = q
         return A * np.sin(np.asarray(points) / L + phi)
 
-    def tangent(self, points, q, i):
+    def tangent_stack(self, points, q):
         A, L, phi = q
         x = np.asarray(points)
         theta = x / L + phi
-        if i == 0:
-            return np.sin(theta)
-        if i == 1:
-            return A * np.cos(theta) * (-x / L**2)
-        if i == 2:
-            return A * np.cos(theta)
-        raise IndexError(i)
+        A_cos = A * np.cos(theta)
+        return np.stack([np.sin(theta), A_cos * (-x / L**2), A_cos])
 
     def spatial_derivative(self, points, q, order):
         # every x-derivative multiplies by 1/L and shifts the phase by pi/2
@@ -183,27 +179,18 @@ class HeatKernel(AnsatzFamily):
     labels = ("A", "L")
 
     def domain_violation(self, q):
-        A, L = q
-        if A < _EPS:
-            return f"amplitude A = {A} must be positive"
-        if L < _EPS:
-            return f"length scale L = {L} must be positive"
-        return None
+        return _amplitude_length_violation(q[0], q[1])
 
     def evaluate(self, points, q):
         A, L = q
         x = np.asarray(points)
         return A * np.exp(-(x**2) / L**2)
 
-    def tangent(self, points, q, i):
+    def tangent_stack(self, points, q):
         A, L = q
         x = np.asarray(points)
         E = np.exp(-(x**2) / L**2)
-        if i == 0:
-            return E
-        if i == 1:
-            return A * E * 2.0 * x**2 / L**3
-        raise IndexError(i)
+        return np.stack([E, A * E * 2.0 * x**2 / L**3])
 
     def spatial_derivative(self, points, q, order):
         A, L = q
@@ -225,31 +212,25 @@ class GaussianWavePacket(AnsatzFamily):
     labels = ("A", "L", "V", "phi")
 
     def domain_violation(self, q):
-        A, L, _, _ = q
-        if A < _EPS:
-            return f"amplitude A = {A} must be positive"
-        if L < _EPS:
-            return f"length scale L = {L} must be positive"
-        return None
+        return _amplitude_length_violation(q[0], q[1])
 
     def evaluate(self, points, q):
         A, L, V, phi = q
         x = np.asarray(points)
         return A * np.exp(-(x**2) / L**2 + 1j * x**2 * V / L + 1j * phi)
 
-    def tangent(self, points, q, i):
-        A, L, V, phi = q
-        x = np.asarray(points)
-        u = self.evaluate(points, q)
-        if i == 0:
-            return u / A
-        if i == 1:
-            return u * (2.0 * x**2 / L**3 - 1j * x**2 * V / L**2)
-        if i == 2:
-            return u * (1j * x**2 / L)
-        if i == 3:
-            return 1j * u
-        raise IndexError(i)
+    @staticmethod
+    def tangent_coefficients(q) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b), each (4,) complex, of the tangents du/dq_k = u (a_k + b_k x^2)."""
+        A, L, V, _ = q
+        a = np.array([1.0 / A, 0.0, 0.0, 1j])
+        b = np.array([0.0, 2.0 / L**3 - 1j * V / L**2, 1j / L, 0.0])
+        return a, b
+
+    def tangent_stack(self, points, q):
+        a, b = self.tangent_coefficients(q)
+        x2 = np.asarray(points) ** 2
+        return self.evaluate(points, q) * (a[:, None] + b[:, None] * x2)
 
     def spatial_derivative(self, points, q, order):
         A, L, V, phi = q
@@ -290,13 +271,20 @@ class VortexStreamFunction(AnsatzFamily):
             labels += [f"A{i}", f"L{i}", f"x{i}", f"y{i}"]
         self.labels = tuple(labels)
 
+    def _per_vortex(self, q) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        return q.reshape(q.shape[:-1] + (self.n_vortices, 4))
+
     def unpack(self, q):
-        q = np.asarray(q, dtype=float).reshape(self.n_vortices, 4)
-        return q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        """A, L, x, y of a state (n,) or a stack of states (..., n), each
+        of shape (..., n_vortices)."""
+        p = self._per_vortex(q)
+        return p[..., 0], p[..., 1], p[..., 2], p[..., 3]
 
     def centers(self, q) -> np.ndarray:
-        _, _, xc, yc = self.unpack(q)
-        return np.column_stack([xc, yc])
+        """The vortex centers of a state (n,) or a stack of states (..., n),
+        of shape (..., n_vortices, 2)."""
+        return self._per_vortex(q)[..., 2:]
 
     def length_scales(self, q) -> np.ndarray:
         return self.unpack(q)[1]
@@ -401,9 +389,6 @@ class VortexStreamFunction(AnsatzFamily):
     def evaluate(self, points, q):
         return self.terms(points, q, ((0, 0),), ())[0][0, 0]
 
-    def tangent(self, points, q, i):
-        return self.tangent_stack(points, q)[i]
-
     def tangent_stack(self, points, q):
         return self.terms(points, q, (), ((0, 0),))[1][0, 0]
 
@@ -444,8 +429,8 @@ class LinearModes(AnsatzFamily):
             out = out + qi * mode.value(points)
         return out
 
-    def tangent(self, points, q, i):
-        return self.modes[i].value(points)
+    def tangent_stack(self, points, q):
+        return np.stack([mode.value(points) for mode in self.modes])
 
     def spatial_derivative(self, points, q, order):
         k = int(order)

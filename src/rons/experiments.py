@@ -49,12 +49,12 @@ from .oracles import (
     PointVortexState,
     SpectralState,
     core_centroid_velocities,
+    dns_steps,
     exact_advdiff,
     finite_time_instability,
     galerkin_rhs,
     nlse_dns,
     point_vortex,
-    point_vortex_hamiltonian,
     spectral_grid,
 )
 
@@ -317,10 +317,10 @@ def _vortex_circulations(family, q, evaluation):
     w = evaluation.rule.weights
     net, core = [], []
     A = family.unpack(q)[0]
-    for i in range(family.n_vortices):
-        omega_i = A[i] * evaluation.tangents[4 * i]
-        net.append(float(np.sum(w * omega_i)))
-        core.append(float(np.sum(w * omega_i * (np.sign(A[i]) * omega_i > 0))))
+    for a, tangent in zip(A, family.unpack(evaluation.tangents.T)[0].T):
+        omega = a * tangent
+        net.append(float(np.sum(w * omega)))
+        core.append(float(np.sum(w * omega * (np.sign(a) * omega > 0))))
     return np.array(net), np.array(core)
 
 
@@ -332,9 +332,10 @@ def _rel_gap(value, ref):
 
 
 def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
-    """One euler run; `metrics_of(traj, pv, cores)` adds the experiment's own
-    metrics to the shared ones, with pv = (strengths, times, centers) of the
-    point-vortex reference and cores = (X, V) of the core-centroid oracle."""
+    """One euler run; `metrics_of(times, centers, pv, cores)` adds the
+    experiment's own metrics to the shared ones, with pv = (strengths, times,
+    centers) of the point-vortex reference and cores = (X, V) of the
+    core-centroid oracle."""
     family = VortexStreamFunction(n_vortices)
     model = vorticity(config["nu"], exact=True)
     quantities = model.conserved if config["constrained"] else ()
@@ -365,7 +366,7 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     files["trajectory"] = "trajectory.csv"
     # vortex center paths: t, x1, y1, x2, y2, ...
     tracks = ["t"] + [f"{c}{i + 1}" for i in range(n_vortices) for c in "xy"]
-    rons_x = traj.states.reshape(len(traj), n_vortices, 4)[:, :, 2:]
+    rons_x = family.centers(traj.states)
     _write_csv(out_dir / "series_rons_tracks.csv", tracks,
                np.column_stack([traj.times, rons_x.reshape(len(traj), -1)]))
     series["rons_tracks"] = "series_rons_tracks.csv"
@@ -375,9 +376,7 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     _write_euler_fields(config, family, traj, out_dir, files)
 
     drift = traj.invariant_drift()
-    amps = traj.states[:, 0::4]
-    lens = traj.states[:, 1::4]
-    H = point_vortex_hamiltonian
+    amps, lens, _, _ = family.unpack(traj.states)
     metrics = {
         "max_rel_drift_A": float(
             np.max(np.abs(amps - amps[0]) / np.abs(amps[0]))
@@ -390,22 +389,19 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
         "net_circulations": [float(g) for g in net],
         "core_circulations": [float(g) for g in core],
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
-        "hamiltonian_drift_pv_core": float(
-            abs(H(core, pv_x[-1]) - H(core, pv_x[0])) / max(abs(H(core, pv_x[0])), 1e-300)
-        ),
     }
-    metrics.update(metrics_of(traj, (core, pv_t, pv_x), cores))
+    metrics.update(metrics_of(traj.times, rons_x, (core, pv_t, pv_x), cores))
     return metrics, {"model": "rons_tracks", "reference": "pv_tracks_core"}
 
 
-def _dipole_metrics(traj, pv, cores):
-    mid = 0.5 * (traj.states[:, 2:4] + traj.states[:, 6:8])
+def _dipole_metrics(times, centers, pv, cores):
+    mid = 0.5 * (centers[:, 0] + centers[:, 1])
     disp = mid - mid[0]
     total = np.linalg.norm(disp[-1])
     # lateral deviation from the straight line through start and end points
     direction = disp[-1] / max(total, 1e-300)
     lateral = np.abs(disp[:, 0] * direction[1] - disp[:, 1] * direction[0])
-    speeds = np.linalg.norm(np.diff(mid, axis=0), axis=1) / np.diff(traj.times)
+    speeds = np.linalg.norm(np.diff(mid, axis=0), axis=1) / np.diff(times)
     _, pv_t, pv_x = pv
     pv_mid = [0.5 * (x[0] + x[1]) for x in (pv_x[0], pv_x[-1])]
     _, V = cores
@@ -420,9 +416,7 @@ def _dipole_metrics(traj, pv, cores):
         "euler_core_speed": float(np.linalg.norm(0.5 * (V[0] + V[1]))),
         "pv_speed_core_circulation": v_pv,
         "speed_rel_gap_pv_core": _rel_gap(v_rons, v_pv),
-        "initial_separation": float(
-            np.hypot(*(traj.states[0, 2:4] - traj.states[0, 6:8]))
-        ),
+        "initial_separation": float(np.hypot(*(centers[0, 0] - centers[0, 1]))),
     }
 
 
@@ -430,19 +424,19 @@ def _fit_angular_velocity(times, theta):
     return float(np.polyfit(times, theta, 1)[0])
 
 
-def _pair_metrics(traj, pv, cores):
-    rel = traj.states[:, 6:8] - traj.states[:, 2:4]
+def _pair_metrics(times, centers, pv, cores):
+    rel = centers[:, 1] - centers[:, 0]
     sep = np.linalg.norm(rel, axis=1)
     theta = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    omega = _fit_angular_velocity(traj.times, theta)
+    omega = _fit_angular_velocity(times, theta)
     # windowed fits quantify how constant the rotation rate is; a third of
     # fewer than three steps fits no meaningful rate (NaN, null in summary.json)
-    thirds = np.array_split(np.arange(len(traj.times)), 3)
+    thirds = np.array_split(np.arange(len(times)), 3)
     if min(map(len, thirds)) < 3:
         rate_variation = np.nan
     else:
         omega_windows = [
-            _fit_angular_velocity(traj.times[idx], theta[idx]) for idx in thirds
+            _fit_angular_velocity(times[idx], theta[idx]) for idx in thirds
         ]
         rate_variation = float((max(omega_windows) - min(omega_windows)) / abs(omega))
     strengths, pv_t, pv_x = pv
@@ -470,12 +464,13 @@ def _count_swaps(xa, xb):
     return int(np.sum(np.diff(sign) != 0))
 
 
-def _leapfrog_metrics(traj, pv, cores):
+def _leapfrog_metrics(times, centers, pv, cores):
     # vortices 1 and 3 carry positive amplitude, 2 and 4 negative
+    x = centers[..., 0]
     return {
-        "swaps_positive_pair": _count_swaps(traj.states[:, 2], traj.states[:, 10]),
-        "swaps_negative_pair": _count_swaps(traj.states[:, 6], traj.states[:, 14]),
-        "x_travel": float(traj.states[-1, 2] - traj.states[0, 2]),
+        "swaps_positive_pair": _count_swaps(x[:, 0], x[:, 2]),
+        "swaps_negative_pair": _count_swaps(x[:, 1], x[:, 3]),
+        "x_travel": float(x[-1, 0] - x[0, 0]),
     }
 
 
@@ -870,6 +865,8 @@ def resolve_config(config: dict) -> dict:
     for key, bound in _AT_LEAST.items():
         if key in resolved and resolved[key] < bound:
             raise ValueError(f"{key} must be >= {bound}")
+    if "dns_dt" in resolved:
+        dns_steps(resolved["t_end"], resolved["dns_dt"])
     if "dns_modes" in resolved:
         n = resolved["dns_modes"]
         if n < 16 or n & (n - 1):

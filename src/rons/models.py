@@ -267,15 +267,15 @@ def wave_packet_integrals(q) -> WavePacketIntegrals:
     integrated over the whole line in closed form.
 
     With u = A exp(-beta x^2 + i phi) and beta = 1/L^2 - i V/L, the tangents
-    are T_k = u (a_k + b_k x^2) and F = u (g0 + g1 x^2 + i A^2 e^{-2x^2/L^2})
-    with g0 = -2i beta and g1 = 4i beta^2.  The chirp cancels in every
-    product, which leaves the moments mu_m = int x^{2m} e^{-2x^2/L^2},
-    nu_m = int x^{2m} e^{-4x^2/L^2} and rho_0 = int e^{-6x^2/L^2}.
+    are T_k = u (a_k + b_k x^2) (`GaussianWavePacket.tangent_coefficients`)
+    and F = u (g0 + g1 x^2 + i A^2 e^{-2x^2/L^2}) with g0 = -2i beta and
+    g1 = 4i beta^2.  The chirp cancels in every product, which leaves the
+    moments mu_m = int x^{2m} e^{-2x^2/L^2}, nu_m = int x^{2m} e^{-4x^2/L^2}
+    and rho_0 = int e^{-6x^2/L^2}.
     """
     A, L, V, _ = q
     beta = 1.0 / L**2 - 1j * V / L
-    a = np.array([1.0 / A, 0.0, 0.0, 1j])
-    b = np.array([0.0, 2.0 / L**3 - 1j * V / L**2, 1j / L, 0.0])
+    a, b = GaussianWavePacket.tangent_coefficients(q)
     g0, g1 = -2j * beta, 4j * beta**2
     mu0 = L * np.sqrt(np.pi / 2.0)
     mu1, mu2 = mu0 * L**2 / 4.0, 3.0 * mu0 * L**4 / 16.0
@@ -571,14 +571,13 @@ def vortex_integrals(
     """
     nv = family.n_vortices
     sites = _product_sites(nv, nodes)
-    params = np.asarray(q, dtype=float).reshape(nv, 4)
-    A, L = params[:, 0], params[:, 1]
+    A, L, _, _ = family.unpack(q)
     z, wz = _hermite_rule(nodes)
     # precision p = sum 1/L_m^2 and centre c = sum (x_m / L_m^2) / p of each
     # product; per axis x = c + z / sqrt(p) and dx = dz / sqrt(p)
     prec = 1.0 / (L * L)
     p = sites.membership @ prec
-    c = sites.membership @ (params[:, 2:] * prec[:, None]) / p[:, None]
+    c = sites.membership @ (family.centers(q) * prec[:, None]) / p[:, None]
     root = np.sqrt(p)
     points = (c.T[:, sites.blocks, None] + z / root[sites.blocks, None]).reshape(2, nv, -1)
     table = family.axis_factors(points, q).ravel()

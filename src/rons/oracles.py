@@ -39,6 +39,7 @@ __all__ = [
     "SpectralState",
     "spectral_grid",
     "nlse_dns",
+    "dns_steps",
     "PointVortexState",
     "point_vortex_hamiltonian",
     "point_vortex",
@@ -111,13 +112,26 @@ def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):
     return E, E2, Q, f1, f2, f3
 
 
+def dns_steps(t_end: float, dt: float) -> int:
+    """The number of DNS steps of dt from 0 to t_end.  Raises ValueError
+    unless t_end / dt is a whole number to 1e-9 relative: a reference that
+    stopped short of t_end would be compared at the wrong time."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ratio = t_end / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * abs(ratio):
+        raise ValueError(f"the DNS step dns_dt = {dt} must divide t_end = {t_end}")
+    return n
+
+
 def nlse_dns(
     u0: SpectralState, dt: float, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve u_t = i u_xx + i |u|^2 u from u0 with ETDRK4.
 
     The linear part is treated exactly in Fourier space; the cubic term is
-    the nonlinearity.  Takes round(t_end / dt) steps of dt and returns
+    the nonlinearity.  Takes `dns_steps(t_end, dt)` steps of dt and returns
     (times, fields): the field at every step as the rows of a (T, n)
     complex array, initial field first and final field last.  Raises
     BlowupError with the last finite state if the field stops being finite.
@@ -127,8 +141,7 @@ def nlse_dns(
     # adds 60-100 ms to `import rons`
     from scipy.fft import fft, ifft
 
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = dns_steps(t_end, dt)
     n = len(u0.values)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=u0.dx)
     lin = -1j * k**2
@@ -140,7 +153,6 @@ def nlse_dns(
     def cubic(u):
         return fft(np.abs(u) ** 2 * u)
 
-    n_steps = int(round(t_end / dt))
     times = np.empty(n_steps + 1)
     fields = np.empty((n_steps + 1, n), dtype=complex)
     times[0], fields[0] = u0.time, u0.values
@@ -272,6 +284,8 @@ def core_centroid_velocities(
     fixed and omega = 0 on the moving part of the boundary of R_i, so no
     boundary flux enters.  Kirchhoff point vortices are the small-core,
     well-separated limit of this quantity.  Returns (X, V), each (N, 2).
+    A core that holds no node of the rule has no circulation to divide by:
+    its X_i and V_i are NaN.
     """
     pts, w = rule.nodes, rule.weights
     omega, F = np.asarray(omega, dtype=float), np.asarray(F, dtype=float)
@@ -282,6 +296,9 @@ def core_centroid_velocities(
     for i, sgn in enumerate(signs):
         wi = w * ((owner == i) & (sgn * omega > 0))
         gamma = np.sum(wi * omega)
+        if gamma == 0:
+            X[i] = V[i] = np.nan
+            continue
         X[i] = (wi * omega) @ pts / gamma
         V[i] = ((wi * F) @ pts - X[i] * np.sum(wi * F)) / gamma
     return X, V

@@ -72,13 +72,15 @@ def test_tangents_match_finite_differences(family):
     pts = points_for(family, rng)
     for _ in range(N_RANDOM):
         q = random_params(family, rng)
+        stack = family.tangent_stack(pts, q)
+        assert stack.shape == (family.n, len(pts))
         for i in range(family.n):
             h = 1e-6 * max(1.0, abs(q[i]))
             qp, qm = q.copy(), q.copy()
             qp[i] += h
             qm[i] -= h
             fd = (family.evaluate(pts, qp) - family.evaluate(pts, qm)) / (2 * h)
-            exact = family.tangent(pts, q, i)
+            exact = stack[i]
             scale = np.max(np.abs(exact)) + 1e-12
             assert np.max(np.abs(exact - fd)) / scale <= FD_TOL
 
@@ -210,7 +212,7 @@ def test_wave_packet_values():
     # the phase tangent is i times the field everywhere
     x = np.linspace(-10, 10, 64)
     u = fam.evaluate(x, q)
-    assert np.allclose(fam.tangent(x, q, 3), 1j * u)
+    assert np.allclose(fam.tangent_stack(x, q)[3], 1j * u)
     # second derivative at the peak: -2 A / L^2
     assert fam.spatial_derivative(np.array([0.0]), q, 2)[0] == pytest.approx(-0.016)
 
@@ -219,8 +221,7 @@ def test_heat_kernel_peak_tangents():
     fam = HeatKernel()
     q = np.array([1.3, 0.8])
     x0 = np.array([0.0])
-    assert fam.tangent(x0, q, 0)[0] == pytest.approx(1.0)
-    assert fam.tangent(x0, q, 1)[0] == pytest.approx(0.0)
+    assert fam.tangent_stack(x0, q)[:, 0] == pytest.approx([1.0, 0.0])
 
 
 def test_vortex_stream_function_values():
@@ -249,6 +250,51 @@ def test_fourier_modes_orthonormal():
     vals = [m.value(rule.nodes) for m in modes]
     gram = np.array([[np.sum(rule.weights * a * b) for b in vals] for a in vals])
     assert np.allclose(gram, np.eye(6), atol=1e-12)
+
+
+# the parameters whose zero lies outside each family's domain: amplitudes
+# and widths
+ZERO_INVALID = {
+    SineWave: {0, 1},
+    HeatKernel: {0, 1},
+    GaussianWavePacket: {0, 1},
+    VortexStreamFunction: {0, 1, 4, 5},
+}
+
+
+@pytest.mark.parametrize("family", all_families(), ids=lambda f: f.name)
+def test_domain_check_is_require_valid(family):
+    q = random_params(family, np.random.default_rng(5))
+    cases = [(q, True), (q[:-1], False), (np.append(q, 1.0), False)]
+    for k in range(family.n):
+        at_k = np.arange(family.n) == k
+        cases += [(np.where(at_k, np.nan, q), False), (np.where(at_k, np.inf, q), False)]
+        cases.append((np.where(at_k, 0.0, q), k not in ZERO_INVALID.get(type(family), ())))
+    for state, valid in cases:
+        try:
+            family.require_valid(state)
+            raised = False
+        except DomainError:
+            raised = True
+        assert raised is not valid
+        assert family.domain_check(state) is valid
+
+
+def test_vortex_layout_of_a_stack_is_the_layout_of_each_state():
+    family = VortexStreamFunction(3)
+    rng = np.random.default_rng(17)
+    stack = np.array([random_params(family, rng) for _ in range(6)])
+    parts, centers = family.unpack(stack), family.centers(stack)
+    assert all(part.shape == (6, 3) for part in parts) and centers.shape == (6, 3, 2)
+    for s, q in enumerate(stack):
+        for k, (part, one) in enumerate(zip(parts, family.unpack(q))):
+            assert np.array_equal(part[s], one)
+            assert np.array_equal(one, q[k::4])         # A_i, L_i, x_i, y_i
+        assert np.array_equal(centers[s], family.centers(q))
+        assert np.array_equal(centers[s], np.column_stack([q[2::4], q[3::4]]))
+    # a transposed (n, P) tangent table reads the same way
+    tangents = rng.standard_normal((family.n, 5))
+    assert np.array_equal(family.unpack(tangents.T)[0], tangents[0::4].T)
 
 
 def test_domain_checks():

@@ -77,6 +77,9 @@ def test_resolve_config_validation():
     {"experiment": "advdiff-exact", "dt": 0},
     {"experiment": "advdiff-exact", "snapshots": 0},
     {"experiment": "nlse-focusing", "dns_dt": 0},
+    # a reference that would stop short of t_end
+    {"experiment": "nlse-focusing", "t_end": 1.0, "dns_dt": 0.3},
+    {"experiment": "nlse-focusing", "t_end": 1.0, "dns_dt": 0.4},
     {"experiment": "appendixA-instability", "lambdas": []},
     {"experiment": "appendixA-instability", "lambdas": [1.0, -0.5]},
     # values of the wrong type, length or range
@@ -138,6 +141,16 @@ def test_galerkin_accepts_the_most_modes_the_rule_resolves(tmp_path):
         out_dir=tmp_path,
     )
     assert record.status == "ok" and record.metrics["max_rhs_deviation"] < 1e-10
+
+
+def test_empty_vortex_cores_record_null_core_velocities(tmp_path):
+    # on a 2 x 2 window no node lies inside either positive core; the
+    # oracle must not divide 0 by 0 (RuntimeWarnings are errors in the suite)
+    record = run({"experiment": "euler-pair", "t_end": 0.2, "resolution": 2}, out_dir=tmp_path)
+    assert record.status == "ok"
+    summary = json.loads(record.summary_path.read_text())
+    assert summary["metrics"]["core_circulations"] == [0.0, 0.0]
+    assert summary["metrics"]["euler_core_angular_velocity"] is None
 
 
 def test_short_pair_run_records_no_rate_variation(tmp_path):

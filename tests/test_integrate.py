@@ -176,7 +176,7 @@ class _ShrinkWidth(PdeModel):
     name = "shrink"
 
     def apply_F(self, family, q, rule):
-        return -family.tangent(rule.nodes, q, 1)
+        return -family.tangent_stack(rule.nodes, q)[1]
 
 
 def test_domain_boundary_aborts_with_partial_trajectory(advdiff_setup):

@@ -48,6 +48,16 @@ def test_dns_zero_stays_zero():
     assert np.max(np.abs(fields)) == 0.0
 
 
+def test_dns_steps_must_end_at_t_end():
+    u0 = SpectralState(LENGTH, np.zeros(64, dtype=complex))
+    for dt in (0.3, 0.4):                # 3 and 2 whole steps would stop short
+        with pytest.raises(ValueError):
+            nlse_dns(u0, dt, 1.0)
+    # 0.3 / 0.025 is 11.999999999999998 in floating point: twelve steps
+    times, _ = nlse_dns(u0, 0.025, 0.3)
+    assert len(times) == 13 and times[-1] == pytest.approx(0.3)
+
+
 def test_dns_plane_wave_exact():
     n = 512
     x = spectral_grid(LENGTH, n)
