@@ -8,16 +8,72 @@ for example on two commits.  Every CSV under either root must be present
 under the other with the same bytes, and every summary.json must carry the
 same `metrics`.  Each difference is printed; the exit code is 1 if there is
 any and 0 otherwise.
+
+So that a change at rounding level shows as one, a CSV that differs is
+reported with the row counts of both sides and, when they match, the
+largest relative difference of each column; a numeric metric that differs
+is reported with its relative difference.  A relative difference is
+max |a - b| / max |a| over the column or the metric's values, with
+positions that agree (NaN with NaN included) counting zero.
 """
 
 import argparse
+import csv
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def _relative(root: Path, pattern: str) -> set:
     return {p.relative_to(root) for p in root.rglob(pattern)}
+
+
+def relative_difference(a, b) -> float:
+    """max |a - b| / max |a| elementwise over equal-shaped values."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    agree = (a == b) | (np.isnan(a) & np.isnan(b))
+    gap = float(np.max(np.where(agree, 0.0, np.abs(a - b)), initial=0.0))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if gap == 0.0:
+        return 0.0
+    return gap / scale if scale > 0.0 else math.inf
+
+
+def _read_table(path: Path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def _csv_difference(rel: Path, a: Path, b: Path) -> str:
+    (ha, ta), (hb, tb) = _read_table(a), _read_table(b)
+    line = f"{rel}: bytes differ; rows {len(ta)} and {len(tb)}"
+    if ha != hb:
+        return f"{line}; headers {ha} and {hb}"
+    if len(ta) != len(tb):
+        return f"{line}; columns not compared"
+    gaps = ", ".join(
+        f"{name} {relative_difference(ta[:, j], tb[:, j]):.2g}" for j, name in enumerate(ha)
+    )
+    return f"{line}; relative difference per column: {gaps}"
+
+
+def _numeric(value) -> bool:
+    if isinstance(value, list):
+        return bool(value) and all(_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _metric_difference(rel: Path, key: str, va, vb) -> str:
+    line = f"{rel}: metric {key}: {va!r} != {vb!r}"
+    if _numeric(va) and _numeric(vb) and np.shape(va) == np.shape(vb):
+        line += f" (relative difference {relative_difference(va, vb):.2g})"
+    return line
 
 
 def diff_runs(a: Path, b: Path) -> list:
@@ -30,16 +86,14 @@ def diff_runs(a: Path, b: Path) -> list:
         for rel in sorted(rels_a & rels_b):
             if pattern == "*.csv":
                 if (a / rel).read_bytes() != (b / rel).read_bytes():
-                    problems.append(f"{rel}: bytes differ")
+                    problems.append(_csv_difference(rel, a / rel, b / rel))
                 continue
             ma = json.loads((a / rel).read_text())["metrics"]
             mb = json.loads((b / rel).read_text())["metrics"]
             for key in sorted(set(ma) | set(mb)):
-                if ma.get(key, "<absent>") != mb.get(key, "<absent>"):
-                    problems.append(
-                        f"{rel}: metric {key}: {ma.get(key, '<absent>')!r} != "
-                        f"{mb.get(key, '<absent>')!r}"
-                    )
+                va, vb = ma.get(key, "<absent>"), mb.get(key, "<absent>")
+                if va != vb:
+                    problems.append(_metric_difference(rel, key, va, vb))
     return problems
 
 

@@ -259,11 +259,11 @@ def _run_nlse(config, out_dir, files, series):
     length = config["dns_length"]
     x = spectral_grid(length, config["dns_modes"])
     u0 = SpectralState(length, family.evaluate(x, np.asarray(config["q0"])))
-    dns_t, dns_u = nlse_dns(u0, config["dns_dt"], config["t_end"])
-    # x = 0 lies on the grid for even n; abs of the Python complex, whose
-    # rounding differs from np.abs in the last bit
-    dns_amp = np.array([abs(complex(z)) for z in dns_u[:, len(x) // 2]])
-    dns_mass = [float(np.sum(np.abs(u) ** 2) * u0.dx) for u in (dns_u[0], dns_u[-1])]
+    dns_t, dns_centre, dns_last = nlse_dns(u0, config["dns_dt"], config["t_end"])
+    # abs of the Python complex, whose rounding differs from np.abs in the
+    # last bit
+    dns_amp = np.array([abs(complex(z)) for z in dns_centre])
+    dns_mass = [float(np.sum(np.abs(u) ** 2) * u0.dx) for u in (u0.values, dns_last)]
 
     ts, qs = _uniform_series(traj, 800)
     rons_amp = qs[:, 0]

@@ -12,11 +12,11 @@
   exponentially even from decaying initial data once round-off seeds the
   growing branch.
 
-The time-dependent oracles return plain arrays: `nlse_dns` gives the times
-and a (T, n) complex array of fields, `point_vortex` the times and a
-(T, N, 2) array of centers.  `SpectralState` and `PointVortexState` are the
-validated initial states they start from (and the last finite state a
-`BlowupError` carries).
+The time-dependent oracles return plain arrays: `nlse_dns` gives the times,
+the centre value at every step and the final field, `point_vortex` the
+times and a (T, N, 2) array of centers.  `SpectralState` and
+`PointVortexState` are the validated initial states they start from (and
+the last finite state a `BlowupError` carries).
 
 Everything here is deliberately independent of the engine module so that
 agreement between the two is evidence, not tautology.
@@ -127,14 +127,15 @@ def dns_steps(t_end: float, dt: float) -> int:
 
 def nlse_dns(
     u0: SpectralState, dt: float, t_end: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve u_t = i u_xx + i |u|^2 u from u0 with ETDRK4.
 
     The linear part is treated exactly in Fourier space; the cubic term is
     the nonlinearity.  Takes `dns_steps(t_end, dt)` steps of dt and returns
-    (times, fields): the field at every step as the rows of a (T, n)
-    complex array, initial field first and final field last.  Raises
-    BlowupError with the last finite state if the field stops being finite.
+    (times, centre, last): the field at grid index n // 2 (x = 0 on
+    `spectral_grid`) at every step, initial value first, and the final
+    field.  Raises BlowupError with the last finite state if the field
+    stops being finite.
     """
     # scipy.fft runs the same pocketfft transforms as numpy.fft, with less
     # overhead per call; imported here because importing it at module level
@@ -153,9 +154,10 @@ def nlse_dns(
     def cubic(u):
         return fft(np.abs(u) ** 2 * u)
 
-    times = np.empty(n_steps + 1)
-    fields = np.empty((n_steps + 1, n), dtype=complex)
-    times[0], fields[0] = u0.time, u0.values
+    times = u0.time + dt * np.arange(n_steps + 1)
+    centre = np.empty(n_steps + 1, dtype=complex)
+    centre[0] = u0.values[n // 2]
+    last = u0.values
     v = fft(u0.values)
     u = ifft(v)
     # eight transforms per step: the field u = ifft(v) that a step starts
@@ -171,15 +173,15 @@ def nlse_dns(
             c = E2 * a + Q * (2.0 * Nb - Nv)
             Nc = cubic(ifft(c))
             v = E * v + f1 * Nv + f2 * (Na + Nb) + f3 * Nc
-            t = u0.time + step * dt
             u = ifft(v)
             if not np.all(np.isfinite(u)):
                 raise BlowupError(
-                    f"spectral solution lost finiteness at t = {t:.6g}",
-                    last_state=SpectralState(u0.length, fields[step - 1], times[step - 1]),
+                    f"spectral solution lost finiteness at t = {times[step]:.6g}",
+                    last_state=SpectralState(u0.length, last, times[step - 1]),
                 )
-            times[step], fields[step] = t, u
-    return times, fields
+            centre[step] = u[n // 2]
+            last = u
+    return times, centre, last
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from rons.errors import AlignmentError
 from rons.hilbert import (
+    _leggauss,
     box_rule,
+    gauss_legendre,
     inner_product,
     make_rule,
     norm_sq,
@@ -105,6 +111,66 @@ def test_alignment_error():
         inner_product(np.ones(15), np.ones(16), rule)
     with pytest.raises(AlignmentError):
         norm_sq(np.ones(8), rule)
+
+
+def _reference_root(n, k):
+    """The k-th largest root of P_n and its Gauss weight: Newton on the
+    plain three-term recurrence in floats from Tricomi's guess, then one
+    step at 30 digits, where the weight 2 (1 - x^2) / (n P_{n-1}(x))^2 is
+    evaluated."""
+
+    def legendre(x, one):
+        p0, p1 = one, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, p0
+
+    x = (1 - (n - 1) / (8 * n**3)) * math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(10):
+        p, q = legendre(x, 1.0)
+        x -= p * (1 - x * x) / (n * (q - x * p))
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        p, q = legendre(x, mp.mpf(1))
+        x -= p * (1 - x * x) / (n * (q - x * p))
+        _, q = legendre(x, mp.mpf(1))
+        return x, 2 * (1 - x * x) / (n * q) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 110, 1000, 1400])
+def test_gauss_legendre_matches_high_precision_roots(n):
+    # the end, second, middle and quarter nodes; numpy's eigenvalue rule
+    # puts the end weight 8e-9 off at n = 1000
+    x, w = gauss_legendre(-1.0, 1.0, n)
+    for k in {1, 2, (n + 1) // 2, max(1, n // 4)}:
+        root, weight = _reference_root(n, k)
+        assert abs(x[n - k] - root) <= 2e-16
+        assert abs(w[n - k] / weight - 1) <= 1e-13
+
+
+def test_gauss_legendre_is_exact_symmetric_and_ascending():
+    for n in range(2, 41):
+        x, w = gauss_legendre(-1.0, 1.0, n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0)
+        if n % 2:
+            assert x[n // 2] == 0.0
+        for k in range(n):                 # degree 2k <= 2n - 2
+            assert abs(np.sum(w * x ** (2 * k)) - 2 / (2 * k + 1)) <= 1e-14
+    x, w = gauss_legendre(-1.0, 1.0, 1400)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+
+
+def test_gauss_legendre_builds_in_linear_memory():
+    # numpy's eigenvalue rule peaked at 16 MB in the same build
+    tracemalloc.start()
+    try:
+        _leggauss.__wrapped__(1400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_box_rule_matches_domain_rule():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft
@@ -43,9 +45,10 @@ def test_exact_advdiff_values():
 
 def test_dns_zero_stays_zero():
     u0 = SpectralState(LENGTH, np.zeros(64, dtype=complex))
-    times, fields = nlse_dns(u0, 0.025, 1.0)
-    assert fields.shape == (41, 64) and times[-1] == pytest.approx(1.0)
-    assert np.max(np.abs(fields)) == 0.0
+    times, centre, last = nlse_dns(u0, 0.025, 1.0)
+    assert times.shape == centre.shape == (41,) and last.shape == (64,)
+    assert times[-1] == pytest.approx(1.0)
+    assert np.max(np.abs(centre)) == 0.0 and np.max(np.abs(last)) == 0.0
 
 
 def test_dns_steps_must_end_at_t_end():
@@ -54,7 +57,7 @@ def test_dns_steps_must_end_at_t_end():
         with pytest.raises(ValueError):
             nlse_dns(u0, dt, 1.0)
     # 0.3 / 0.025 is 11.999999999999998 in floating point: twelve steps
-    times, _ = nlse_dns(u0, 0.025, 0.3)
+    times, _, _ = nlse_dns(u0, 0.025, 0.3)
     assert len(times) == 13 and times[-1] == pytest.approx(0.3)
 
 
@@ -64,19 +67,23 @@ def test_dns_plane_wave_exact():
     k = 2 * np.pi * 8 / LENGTH
     a = 0.1
     u0 = SpectralState(LENGTH, a * np.exp(1j * k * x))
-    _, fields = nlse_dns(u0, 0.001, 1.0)
+    _, _, last = nlse_dns(u0, 0.001, 1.0)
     exact = a * np.exp(1j * k * x) * np.exp(1j * (a**2 - k**2) * 1.0)
-    assert np.max(np.abs(fields[-1] - exact)) <= 1e-8
+    assert np.max(np.abs(last - exact)) <= 1e-8
 
 
 def test_dns_mass_conserved_long_run():
     fam = GaussianWavePacket()
     x = spectral_grid(LENGTH, 512)
-    u0 = SpectralState(LENGTH, fam.evaluate(x, np.array([0.2, 5.0, 0.0, 0.0])))
-    times, fields = nlse_dns(u0, 0.025, 40.0)
-    assert times[::40] == pytest.approx(np.arange(41.0))
-    masses = np.sum(np.abs(fields) ** 2, axis=1) * u0.dx
-    assert np.max(np.abs(masses - masses[0])) / masses[0] <= 1e-8
+    state = SpectralState(LENGTH, fam.evaluate(x, np.array([0.2, 5.0, 0.0, 0.0])))
+    mass0 = np.sum(np.abs(state.values) ** 2) * state.dx
+    # forty one-time-unit runs, each from the last field of the one before
+    for t in range(1, 41):
+        times, _, last = nlse_dns(state, 0.025, 1.0)
+        assert times[-1] == pytest.approx(t)
+        state = SpectralState(LENGTH, last, times[-1])
+        mass = np.sum(np.abs(last) ** 2) * state.dx
+        assert abs(mass - mass0) / mass0 <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -92,8 +99,8 @@ def test_dns_refinement_gate(q0, t_end):
 
     def peak(n_modes, dt):
         x = spectral_grid(LENGTH, n_modes)
-        _, fields = nlse_dns(SpectralState(LENGTH, fam.evaluate(x, q0)), dt, t_end)
-        return np.max(np.abs(fields[:, n_modes // 2]))   # x = 0
+        _, centre, _ = nlse_dns(SpectralState(LENGTH, fam.evaluate(x, q0)), dt, t_end)
+        return np.max(np.abs(centre))   # x = 0
 
     base = peak(512, 0.025)
     assert abs(peak(1024, 0.025) - base) < 1e-5
@@ -129,10 +136,28 @@ def test_dns_matches_nine_transform_reference():
     # and folding i and 2 into the tables moves only rounding
     x = spectral_grid(LENGTH, 512)
     u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, np.array([0.2, 20.0, -0.05, 0.0])))
-    _, fields = nlse_dns(u0, 0.025, 60.0)
+    _, centre, last = nlse_dns(u0, 0.025, 60.0)
     reference = _nine_transform_dns(u0, 0.025, 60.0)
-    assert fields.shape == reference.shape
-    assert np.max(np.abs(fields - reference)) <= 1e-13 * np.max(np.abs(reference))
+    scale = np.max(np.abs(reference))
+    assert centre.shape == reference[:, len(x) // 2].shape
+    assert np.max(np.abs(centre - reference[:, len(x) // 2])) <= 1e-13 * scale
+    assert np.max(np.abs(last - reference[-1])) <= 1e-13 * scale
+
+
+def test_dns_memory_does_not_grow_with_the_step_count():
+    # the default focusing reference, 2401 records of 512 modes: keeping
+    # every field would take 19.7 MB
+    x = spectral_grid(LENGTH, 512)
+    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, np.array([0.2, 20.0, -0.05, 0.0])))
+    nlse_dns(u0, 0.025, 0.05)            # scipy.fft's import and plans stay out of the trace
+    tracemalloc.start()
+    try:
+        times, _, _ = nlse_dns(u0, 0.025, 60.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 2401
+    assert peak < 2_000_000
 
 
 def test_dns_blowup_reports_last_state():
