@@ -82,7 +82,7 @@ class AnsatzFamily:
             raise DomainError(
                 f"{self.name}: expected {self.n} parameters, got {len(q)}"
             )
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise DomainError(f"{self.name}: non-finite parameter values")
         reason = self.domain_violation(q)
         if reason is not None:
@@ -291,9 +291,9 @@ class VortexStreamFunction(AnsatzFamily):
 
     def domain_violation(self, q):
         A, L, _, _ = self.unpack(q)
-        if np.any(L < _EPS):
+        if (L < _EPS).any():
             return f"length scales must be positive, got {L}"
-        if np.any(np.abs(A) < _EPS):
+        if (np.abs(A) < _EPS).any():
             # a zero-amplitude vortex makes its own tangent fields vanish
             # and the metric tensor singular
             return f"amplitudes must be nonzero, got {A}"

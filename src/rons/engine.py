@@ -6,16 +6,23 @@ f_i = <du/dq_i, F(u)> from the model's projection (`PdeModel.projection`):
 weighted sums over the rule's nodes by default, or exact whole-domain
 integrals, which ignore the rule, for the Schroedinger model on the
 Gaussian wave packet and the vorticity model built with `exact=True`.
-The optimal parameter velocity is qdot = M^-1 f; with conserved
-quantities I_k enforced it becomes
+The optimal parameter velocity is qdot = M^-1 f.  With conserved
+quantities I_k enforced, qdot and the multipliers lambda_k solve the
+optimality conditions as one bordered (saddle-point) system
 
-    qdot = M^-1 (f - sum_k lambda_k grad I_k),    C lambda = b,
+    [ M    B ] [ qdot   ]   [ f ]
+    [ B^T  0 ] [ lambda ] = [ 0 ],
 
-where C = B^T M^-1 B and b = B^T M^-1 f with B the matrix of constraint
-gradients.  `assemble` factors M once and solves it once against [f | B],
-which gives C, b and qdot.  A factorization failure is not a numerical
-nuisance but a diagnosis (M not SPD means the ansatz map stopped being an
-immersion; C not SPD means the constraint gradients became dependent).
+with B the matrix of constraint gradients grad I_k, by one LU solve
+(`numpy.linalg.solve`).  The same solve, against the extra right-hand
+sides [0; -I], returns C^-1 for C = B^T M^-1 B, and one Cholesky
+factorization of the block diagonal M (+) C^-1 both factors M and tests
+the rank of C.  A failure is not a numerical nuisance but a diagnosis (M
+not SPD means the ansatz map stopped being an immersion; C singular means
+the constraint gradients became dependent), and its message names the
+matrix with its size and extreme eigenvalues.  C itself is formed only
+where its condition estimate is read (`residual`).  Only numpy is
+imported.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ansatz import AnsatzFamily
 from .errors import DependentConstraintsError, FitError, ImmersionError
@@ -46,38 +52,34 @@ __all__ = [
 # relative asymmetry of a quadrature-assembled Gram matrix beyond which we
 # suspect an inconsistent rule rather than rounding
 _ASYM_WARN = 1e-10
+_EPS = np.finfo(float).eps
 
 
-def _symmetrize(mat: np.ndarray, label: str) -> np.ndarray:
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    if (mat == mat.T).all():
+        # closed-form projections (the wave packet's) are symmetric bit for bit
+        return mat
     sym = 0.5 * (mat + mat.T)
     asym = np.abs(mat - mat.T).max() / max(np.abs(sym).max(), 1e-300)
     if asym > _ASYM_WARN:
         warnings.warn(
-            f"{label} asymmetric at relative level {asym:.2e}; "
+            f"metric tensor asymmetric at relative level {asym:.2e}; "
             "quadrature may be inconsistent",
             stacklevel=3,
         )
     return sym
 
 
-def _cholesky(mat: np.ndarray, exc_type, label: str) -> np.ndarray:
-    chol, info = dpotrf(mat, lower=1, clean=1)
-    if info != 0:
-        raise exc_type(f"{label} is not positive-definite (potrf info {info})")
-    return chol
-
-
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x, info = dpotrs(chol, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"potrs rejected argument {-info}")
-    return x
+def _spectrum(mat: np.ndarray, label: str) -> str:
+    w = np.linalg.eigvalsh(mat)
+    size = f"{mat.shape[0]}x{mat.shape[1]}"
+    return f"{label} ({size}, eigvalsh from {w[0]:.3e} to {w[-1]:.3e})"
 
 
 def _cond_estimate(chol: np.ndarray) -> float:
     # cheap bound from the Cholesky diagonal: cond(M) >= (max d / min d)^2
-    d = np.diag(chol)
-    return float((d.max() / d.min()) ** 2)
+    d = chol.diagonal().tolist()
+    return (max(d) / min(d)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +94,7 @@ class MetricTensor:
         return _cond_estimate(self.cholesky_factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _cho_solve(self.cholesky_factor, rhs)
+        return np.linalg.solve(self.entries, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +102,7 @@ class ConstraintBlock:
     """Constraint gradients and the solved multipliers."""
 
     gradients: np.ndarray        # B, shape (n, m), columns grad I_k
-    matrix: np.ndarray           # C = B^T M^-1 B, shape (m, m)
-    cholesky_factor: np.ndarray
-    rhs: np.ndarray              # b, shape (m,)
     multipliers: np.ndarray      # lambda, shape (m,)
-
-    @property
-    def condition_estimate(self) -> float:
-        return _cond_estimate(self.cholesky_factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,41 +144,68 @@ def assemble(
     """Build M, f and (optionally) the constraint block at q, and solve qdot.
 
     `quantities` is a sequence of ConservedQuantity objects whose gradients
-    must be linearly independent; dependence is detected by the Cholesky
-    factorization of C.  Their gradients come from the same model
-    projection as M and f, so the state is evaluated once.  M is factored
-    as it is: a near-singular M aborts with ImmersionError rather than
-    being silently regularized.
+    must be linearly independent; dependence is detected from the rank of
+    C^-1, which the bordered solve returns.  Their gradients come from the
+    same model projection as M and f, so the state is evaluated once.  M is
+    factored as it is: a near-singular M aborts with ImmersionError rather
+    than being silently regularized.
     """
     qv = family.require_valid(q)
     quantities = tuple(quantities)
     proj = model.projection(family, qv, rule, quantities)
     f, B = proj.f, proj.B
-    rhs = np.concatenate((f[:, None], B), axis=1)
-    if not (np.isfinite(proj.M).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(proj.M).all() and np.isfinite(f).all() and np.isfinite(B).all()):
         raise ValueError("non-finite entries in M, f or the constraint gradients")
+    M = _symmetrize(proj.M)
 
-    M_entries = _symmetrize(proj.M, "metric tensor")
-    chol = _cholesky(M_entries, ImmersionError, "metric tensor")
-    solved = _cho_solve(chol, rhs)                     # M^-1 [f | B]
-    qdot, Minv_B = solved[:, 0], solved[:, 1:]
+    if not quantities:
+        try:
+            chol = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise _factorization_error(M, None) from None
+        return ReducedSystem(qv, MetricTensor(M, chol), f, None, np.linalg.solve(M, f), proj)
 
-    block = None
-    if quantities:
-        C = _symmetrize(B.T @ Minv_B, "constraint matrix")
-        chol_C = _cholesky(C, DependentConstraintsError, "constraint matrix")
-        b = B.T @ qdot
-        lam = _cho_solve(chol_C, b)
-        qdot = qdot - Minv_B @ lam
-        block = ConstraintBlock(B, C, chol_C, b, lam)
+    n, m = B.shape
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = M
+    K[:n, n:] = B
+    K[n:, :n] = B.T
+    rhs = np.zeros((n + m, 1 + m))
+    rhs[:n, 0] = f
+    for k in range(m):
+        rhs[n + k, 1 + k] = -1.0
+    try:
+        solved = np.linalg.solve(K, rhs)   # [[qdot, -M^-1 B C^-1], [lambda, C^-1]]
+    except np.linalg.LinAlgError:
+        raise _factorization_error(M, B) from None
+    # one Cholesky of the block diagonal M (+) C^-1 factors M and tests the
+    # rank of C: LU meets an exactly zero pivot only by chance, so the
+    # gradients count as dependent when the Cholesky-diagonal bound on
+    # cond(C) reaches 1 / ((n + m) eps), numpy's matrix_rank tolerance
+    K[:n, n:] = 0.0
+    K[n:, :n] = 0.0
+    K[n:, n:] = solved[n:, 1:]
+    try:
+        chol = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        raise _factorization_error(M, B) from None
+    if _cond_estimate(chol[n:, n:]) * (n + m) * _EPS >= 1.0:
+        raise _factorization_error(M, B)
+    block = ConstraintBlock(B, solved[n:, 0])
+    return ReducedSystem(qv, MetricTensor(M, chol[:n, :n]), f, block, solved[:n, 0], proj)
 
-    return ReducedSystem(
-        q=qv,
-        M=MetricTensor(M_entries, chol),
-        f=f,
-        constraints=block,
-        qdot=qdot,
-        projection=proj,
+
+def _factorization_error(M: np.ndarray, B: np.ndarray | None) -> Exception:
+    """ImmersionError if M has no Cholesky factor, else (with constraint
+    gradients B) DependentConstraintsError, each naming its matrix."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return ImmersionError(f"{_spectrum(M, 'metric tensor M')} is not positive-definite")
+    C = B.T @ np.linalg.solve(M, B)
+    return DependentConstraintsError(
+        f"{_spectrum(C, 'constraint matrix C = B^T M^-1 B')} is singular: "
+        "the constraint gradients are dependent"
     )
 
 
@@ -218,9 +240,13 @@ def residual(system: ReducedSystem, qdot) -> ResidualReport:
         J = 0.5 * float(np.sum(ev.rule.weights * np.abs(mismatch) ** 2))
     else:
         J = 0.5 * float(qdot @ proj.M @ qdot) - float(qdot @ proj.f) + J_raw
-    cond_C = (
-        system.constraints.condition_estimate if system.constraints is not None else np.nan
-    )
+    cond_C = np.nan
+    if system.constraints is not None:
+        B = system.constraints.gradients
+        try:
+            cond_C = _cond_estimate(np.linalg.cholesky(B.T @ system.M.solve(B)))
+        except np.linalg.LinAlgError:
+            cond_C = np.inf
     return ResidualReport(
         J=J, J_raw=J_raw, condition_M=system.M.condition_estimate, condition_C=cond_C
     )

@@ -238,7 +238,7 @@ def solve_adaptive_rk45(
             ys = y
             try:
                 for s in range(1, n_stages):
-                    prev, ys = ys, y + h * (_DP_A[s] @ k[:s])
+                    prev, ys = ys, y + h * _DP_A[s].dot(k[:s])
                     if _DP_SAME_C[s] and (ys == prev).all():
                         # when qdot is constant over the step, stages 6 and
                         # 7 land on the same state

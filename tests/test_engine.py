@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rons
 from rons.ansatz import (
     GaussianWavePacket,
     HeatKernel,
@@ -28,6 +35,7 @@ from rons.experiments import EXPERIMENTS
 from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
     ConservedQuantity,
+    KineticEnergy,
     PdeModel,
     Projection,
     advection_diffusion,
@@ -168,16 +176,33 @@ def test_immersion_error_on_dependent_tangents():
     model = vorticity(0.0)
     rule = make_rule(plane(6.0), 80)
     q = np.array([1.0, 1.0, 0.3, -0.2, 1.0, 1.0, 0.3, -0.2])
-    with pytest.raises(ImmersionError):
+    with pytest.raises(ImmersionError) as err:
         assemble(fam, q, model, rule, model.conserved)
+    assert str(err.value).startswith("metric tensor M (8x8, eigvalsh from ")
+    assert str(err.value).endswith(") is not positive-definite")
 
 
 def test_dependent_constraints_error():
     fam = SineWave()
     model = advection_diffusion(1.0, 0.1)
     rule = make_rule(periodic_interval(2 * np.pi), 64)
-    with pytest.raises(DependentConstraintsError):
+    with pytest.raises(DependentConstraintsError) as err:
         assemble(fam, [1.0, 1.0, 0.0], model, rule, (_PushAmplitude(), _PushAmplitude()))
+    assert str(err.value).startswith("constraint matrix C = B^T M^-1 B (2x2, eigvalsh from ")
+    assert str(err.value).endswith(") is singular: the constraint gradients are dependent")
+
+
+def _leapfrog_q0():
+    return np.asarray(EXPERIMENTS["euler-leapfrog"].defaults["q0"], dtype=float)
+
+
+def test_dependent_fluid_invariants_raise():
+    # the same gradient twice: K is singular, but LU meets an exactly zero
+    # pivot only by chance, so the rank test on C^-1 has to catch it
+    model = vorticity(0.0, exact=True)
+    with pytest.raises(DependentConstraintsError):
+        assemble(VortexStreamFunction(4), _leapfrog_q0(), model, None,
+                 (KineticEnergy(), KineticEnergy()))
 
 
 def test_domain_error_propagates():
@@ -257,6 +282,66 @@ def test_stacked_solve_matches_null_space_least_squares(case):
     scale = max(np.max(np.abs(reference)), np.max(np.abs(free)))
     assert np.max(np.abs(qdot - reference)) <= 1e-12 * scale
     assert np.max(np.abs(constraint_tangency(system, qdot))) <= 1e-12
+
+
+def _mpmath_qdot(system, digits=40):
+    """qdot from the bordered system [[M, B], [B^T, 0]] [qdot; lambda] = [f; 0]
+    of the same floating-point M, f and B, solved with `digits` digits."""
+    M, f, B = system.M.entries, system.f, system.constraints.gradients
+    n, m = B.shape
+    K = np.zeros((n + m, n + m))
+    K[:n, :n], K[:n, n:], K[n:, :n] = M, B, B.T
+    with mpmath.workdps(digits):
+        x = mpmath.lu_solve(mpmath.matrix(K.tolist()), mpmath.matrix(list(f) + [0.0] * m))
+        return np.array([float(x[i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("nu, bound", [(0.0, 1.2e-15), (0.05, 1.2e-13)])
+def test_bordered_solve_matches_40_digit_solve(nu, bound):
+    # leapfrog q0 and four states q0 (1 + 0.05 z); the largest errors
+    # measured relative to max |qdot| are 4.4e-16 (nu = 0) and 4.2e-14
+    # (nu = 0.05, where qdot cancels most of M^-1 f)
+    fam, model = VortexStreamFunction(4), vorticity(nu, exact=True)
+    q0 = _leapfrog_q0()
+    rng = np.random.default_rng(1)
+    for q in [q0] + [q0 * (1 + 0.05 * rng.standard_normal(16)) for _ in range(4)]:
+        system = assemble(fam, q, model, None, model.conserved)
+        reference = _mpmath_qdot(system)
+        error = np.max(np.abs(reduced_rhs(system) - reference))
+        assert error <= bound * np.max(np.abs(reference))
+
+
+def _explicit_cond_C(system):
+    M, B = system.M.entries, system.constraints.gradients
+    d = np.diag(np.linalg.cholesky(B.T @ np.linalg.solve(M, B)))
+    return (d.max() / d.min()) ** 2
+
+
+@pytest.mark.parametrize("case", ["nlse", "leapfrog"])
+def test_residual_condition_C_is_the_cholesky_bound_of_C(case):
+    if case == "nlse":
+        fam, model, rule = GaussianWavePacket(), nlse(), make_rule(real_line(60.0), 600)
+        states = [np.array([0.2, 5.0, 0.0, 0.0]), np.array([0.3, 7.0, -0.1, 0.6])]
+    else:
+        fam, model, rule = VortexStreamFunction(4), vorticity(0.05, exact=True), None
+        states = [_leapfrog_q0(), _leapfrog_q0() * 1.03]
+    for q in states:
+        system = assemble(fam, q, model, rule, model.conserved)
+        rep = residual(system, reduced_rhs(system))
+        assert rep.condition_C == pytest.approx(_explicit_cond_C(system), rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by the NLSE reference only
+    code = (
+        "import sys, rons, rons.experiments, rons.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(rons.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_condition_estimates_positive():
@@ -358,9 +443,8 @@ def _leapfrog_kernel_calls(monkeypatch, model):
 
     for name in calls:
         monkeypatch.setattr(VortexStreamFunction, name, counted(name))
-    q0 = np.asarray(EXPERIMENTS["euler-leapfrog"].defaults["q0"], dtype=float)
     rule = box_rule((-2.5, -2.5), (2.5, 2.5), 40)
-    system = assemble(VortexStreamFunction(4), q0, model, rule, model.conserved)
+    system = assemble(VortexStreamFunction(4), _leapfrog_q0(), model, rule, model.conserved)
     assert system.constraints.gradients.shape == (16, 2)
     return calls
 
