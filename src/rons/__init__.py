@@ -28,7 +28,6 @@ from .engine import (
 )
 from .errors import (
     AlignmentError,
-    BlowupError,
     CollisionError,
     DependentConstraintsError,
     DomainError,

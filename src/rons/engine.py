@@ -15,14 +15,15 @@ optimality conditions as one bordered (saddle-point) system
 
 with B the matrix of constraint gradients grad I_k, by one LU solve
 (`numpy.linalg.solve`).  The same solve, against the extra right-hand
-sides [0; -I], returns C^-1 for C = B^T M^-1 B, and one Cholesky
-factorization of the block diagonal M (+) C^-1 both factors M and tests
-the rank of C.  A failure is not a numerical nuisance but a diagnosis (M
-not SPD means the ansatz map stopped being an immersion; C singular means
-the constraint gradients became dependent), and its message names the
-matrix with its size and extreme eigenvalues.  C itself is formed only
-where its condition estimate is read (`residual`).  Only numpy is
-imported.
+sides [0; -I], returns C^-1 for C = B^T M^-1 B and -M^-1 B C^-1, with
+which one projection sweep makes B^T qdot vanish to rounding.  One
+Cholesky factorization of the block diagonal M (+) C^-1 both factors M
+and tests the rank of C.  A failure is not a numerical nuisance but a
+diagnosis (M not SPD means the ansatz map stopped being an immersion; C
+singular means the constraint gradients became dependent), and its
+message names the matrix with its size and extreme eigenvalues.  C
+itself is formed only where its condition estimate is read (`residual`).
+Only numpy is imported.
 """
 
 from __future__ import annotations
@@ -191,8 +192,13 @@ def assemble(
         raise _factorization_error(M, B) from None
     if _cond_estimate(chol[n:, n:]) * (n + m) * _EPS >= 1.0:
         raise _factorization_error(M, B)
+    # one projection sweep qdot - M^-1 B C^-1 B^T qdot takes the rounding
+    # out of B^T qdot, which the solve leaves at eps times |M^-1 f| where
+    # qdot cancels most of M^-1 f
+    qdot = solved[:n, 0]
+    qdot += solved[:n, 1:].dot(qdot.dot(B))
     block = ConstraintBlock(B, solved[n:, 0])
-    return ReducedSystem(qv, MetricTensor(M, chol[:n, :n]), f, block, solved[:n, 0], proj)
+    return ReducedSystem(qv, MetricTensor(M, chol[:n, :n]), f, block, qdot, proj)
 
 
 def _factorization_error(M: np.ndarray, B: np.ndarray | None) -> Exception:

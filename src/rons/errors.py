@@ -44,17 +44,6 @@ class FitError(RonsError):
         self.best = best
 
 
-class BlowupError(RonsError):
-    """A reference solver produced non-finite values.
-
-    Carries the last finite state so partial results can be reported.
-    """
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
-
-
 class CollisionError(RonsError):
     """Point-vortex centers approached the Hamiltonian singularity."""
 

@@ -260,9 +260,7 @@ def _run_nlse(config, out_dir, files, series):
     x = spectral_grid(length, config["dns_modes"])
     u0 = SpectralState(length, family.evaluate(x, np.asarray(config["q0"])))
     dns_t, dns_centre, dns_last = nlse_dns(u0, config["dns_dt"], config["t_end"])
-    # abs of the Python complex, whose rounding differs from np.abs in the
-    # last bit
-    dns_amp = np.array([abs(complex(z)) for z in dns_centre])
+    dns_amp = np.abs(dns_centre)
     dns_mass = [float(np.sum(np.abs(u) ** 2) * u0.dx) for u in (u0.values, dns_last)]
 
     ts, qs = _uniform_series(traj, 800)
@@ -914,7 +912,7 @@ def validate_summary(summary: dict) -> None:
 def run(config: dict, out_dir: str | os.PathLike | None = None) -> RunRecord:
     """Execute one experiment; always writes a schema-valid summary.
 
-    Numerical aborts (domain, immersion, constraint failures, blowups) yield
+    Numerical aborts (domain, immersion, constraint failures, collisions) yield
     a record with status "failed" and the abort reason; config errors raise
     ValueError before anything is written.
     """

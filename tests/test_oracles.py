@@ -2,17 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import fft, ifft
 
 from rons.ansatz import GaussianWavePacket, LinearModes, fourier_modes
 from rons.engine import assemble, reduced_rhs
-from rons.errors import BlowupError, CollisionError
+from rons.errors import CollisionError
 from rons.hilbert import make_rule, periodic_interval
 from rons.models import advection_diffusion
 from rons.oracles import (
     PointVortexState,
     SpectralState,
-    _etdrk4_tables,
     _rotated_modes_rhs,
     exact_advdiff,
     finite_time_instability,
@@ -107,49 +105,93 @@ def test_dns_refinement_gate(q0, t_end):
     assert abs(peak(512, 0.0125) - base) < 1e-5
 
 
-def _nine_transform_dns(u0, dt, t_end):
-    """ETDRK4 in its reference form: the nonlinearity 1j * fft(|u|^2 u) of
-    u = ifft(v) at each of the four stages, nine transforms per step."""
-    k = 2.0 * np.pi * np.fft.fftfreq(len(u0.values), d=u0.dx)
+def _etdrk4_tables(lin, dt, n_contour=32):
+    """ETDRK4 coefficient tables (Cox & Matthews; Kassam & Trefethen): the
+    phi-function combinations as means over a circle of contour points
+    around each h*lambda, which avoids their cancellation near lambda = 0."""
+    z = dt * lin
+    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    zr = z[:, None] + r[None, :]
+    Q = dt * np.mean((np.exp(zr / 2.0) - 1.0) / zr, axis=1)
+    f1 = dt * np.mean((-4.0 - zr + np.exp(zr) * (4.0 - 3.0 * zr + zr**2)) / zr**3, axis=1)
+    f2 = dt * np.mean((2.0 + zr + np.exp(zr) * (-2.0 + zr)) / zr**3, axis=1)
+    f3 = dt * np.mean((-4.0 - 3.0 * zr - zr**2 + np.exp(zr) * (4.0 - zr)) / zr**3, axis=1)
+    return np.exp(z), np.exp(z / 2.0), Q, f1, f2, f3
+
+
+def _etdrk4_dns(u0, dt, t_end):
+    """Fourth-order exponential time differencing of the same equation, an
+    independent reference: the centre value at every step and the last field."""
+    fft, ifft = np.fft.fft, np.fft.ifft
+    n = len(u0.values)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=u0.dx)
     E, E2, Q, f1, f2, f3 = _etdrk4_tables(-1j * k**2, dt)
 
-    def nonlin(v_hat):
-        u = ifft(v_hat)
+    def nonlin(u):
         return 1j * fft(np.abs(u) ** 2 * u)
 
-    v, fields = fft(u0.values), [u0.values]
-    for _ in range(int(round(t_end / dt))):
-        Nv = nonlin(v)
+    n_steps = int(round(t_end / dt))
+    centre = np.empty(n_steps + 1, dtype=complex)
+    centre[0] = u0.values[n // 2]
+    v, u = fft(u0.values), u0.values
+    for step in range(1, n_steps + 1):
+        Nv = nonlin(u)
         a = E2 * v + Q * Nv
-        Na = nonlin(a)
+        Na = nonlin(ifft(a))
         b = E2 * v + Q * Na
-        Nb = nonlin(b)
+        Nb = nonlin(ifft(b))
         c = E2 * a + Q * (2.0 * Nb - Nv)
-        Nc = nonlin(c)
+        Nc = nonlin(ifft(c))
         v = E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
-        fields.append(ifft(v))
-    return np.array(fields)
+        u = ifft(v)
+        centre[step] = u[n // 2]
+    return centre, u
 
 
-def test_dns_matches_nine_transform_reference():
-    # the focusing packet through its peak: reusing the last step's field
-    # and folding i and 2 into the tables moves only rounding
+FOCUSING_Q0 = np.array([0.2, 20.0, -0.05, 0.0])
+
+
+@pytest.fixture(scope="module")
+def focusing_etdrk4():
+    """The focusing packet through its peak, t in [0, 60], by ETDRK4 at
+    dt = 0.025 / 16, whose own error is below 1e-10 of the peak."""
     x = spectral_grid(LENGTH, 512)
-    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, np.array([0.2, 20.0, -0.05, 0.0])))
-    _, centre, last = nlse_dns(u0, 0.025, 60.0)
-    reference = _nine_transform_dns(u0, 0.025, 60.0)
-    scale = np.max(np.abs(reference))
-    assert centre.shape == reference[:, len(x) // 2].shape
-    assert np.max(np.abs(centre - reference[:, len(x) // 2])) <= 1e-13 * scale
-    assert np.max(np.abs(last - reference[-1])) <= 1e-13 * scale
+    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, FOCUSING_Q0))
+    return u0, _etdrk4_dns(u0, 0.025 / 16, 60.0)
+
+
+def _error_against(reference, dt):
+    """Largest errors of the centre series and of the last field of the
+    split-step run at dt (a multiple of the reference step), relative to the
+    largest reference value."""
+    u0, (ref_centre, ref_last) = reference
+    _, centre, last = nlse_dns(u0, dt, 60.0)
+    stride = round(dt / (0.025 / 16))
+    scale = np.max(np.abs(ref_centre))
+    assert centre.shape == ref_centre[::stride].shape
+    return (np.max(np.abs(centre - ref_centre[::stride])) / scale,
+            np.max(np.abs(last - ref_last)) / scale)
+
+
+def test_dns_matches_etdrk4_at_a_sixteenth_of_the_step(focusing_etdrk4):
+    # measured: 3.9e-6 for the centre series
+    centre_error, last_error = _error_against(focusing_etdrk4, 0.025)
+    assert centre_error <= 1e-5
+    assert last_error <= 1e-5
+
+
+def test_dns_is_second_order_in_dt(focusing_etdrk4):
+    # halving dt divides the error by 4.000 here
+    ratio = _error_against(focusing_etdrk4, 0.025)[0] / _error_against(focusing_etdrk4, 0.0125)[0]
+    assert 3.9 <= ratio <= 4.1
 
 
 def test_dns_memory_does_not_grow_with_the_step_count():
     # the default focusing reference, 2401 records of 512 modes: keeping
     # every field would take 19.7 MB
     x = spectral_grid(LENGTH, 512)
-    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, np.array([0.2, 20.0, -0.05, 0.0])))
-    nlse_dns(u0, 0.025, 0.05)            # scipy.fft's import and plans stay out of the trace
+    u0 = SpectralState(LENGTH, GaussianWavePacket().evaluate(x, FOCUSING_Q0))
+    nlse_dns(u0, 0.025, 0.05)            # numpy.fft's plan cache stays out of the trace
     tracemalloc.start()
     try:
         times, _, _ = nlse_dns(u0, 0.025, 60.0)
@@ -160,16 +202,15 @@ def test_dns_memory_does_not_grow_with_the_step_count():
     assert peak < 2_000_000
 
 
-def test_dns_blowup_reports_last_state():
+def test_dns_stays_finite_at_a_large_step():
+    # both substeps are unitary: a step of 5.0, far beyond accuracy, keeps
+    # the field finite and its mass to rounding
     x = spectral_grid(LENGTH, 512)
     u0 = SpectralState(LENGTH, 5.0 * np.exp(-(x**2) / 25.0) + 0j)
-    with pytest.raises(BlowupError) as excinfo:
-        nlse_dns(u0, 5.0, 100.0)
-    last = excinfo.value.last_state
-    assert isinstance(last, SpectralState) and last.length == LENGTH
-    assert np.all(np.isfinite(last.values))
-    # the last finite record: a step of 5.0 before the blow-up time
-    assert 0.0 <= last.time < 100.0 and last.time % 5.0 == 0.0
+    _, centre, last = nlse_dns(u0, 5.0, 100.0)
+    assert np.all(np.isfinite(centre)) and np.all(np.isfinite(last))
+    mass0 = np.sum(np.abs(u0.values) ** 2)
+    assert abs(np.sum(np.abs(last) ** 2) - mass0) <= 1e-12 * mass0
 
 
 def test_spectral_state_validation():
@@ -177,6 +218,8 @@ def test_spectral_state_validation():
         SpectralState(10.0, np.zeros(12, dtype=complex))  # not a power of two
     with pytest.raises(ValueError):
         SpectralState(10.0, np.full(32, np.nan, dtype=complex))
+    with pytest.raises(ValueError):
+        SpectralState(10.0, np.full(32, 1e200, dtype=complex))  # mass overflows
 
 
 # -- point vortices -----------------------------------------------------------
