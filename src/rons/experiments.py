@@ -46,7 +46,6 @@ from .hilbert import box_rule, make_rule, norm_sq, periodic_interval, real_line
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .models import advection_diffusion, nlse, vorticity
 from .oracles import (
-    PointVortexState,
     SpectralState,
     core_centroid_velocities,
     dns_steps,
@@ -54,7 +53,6 @@ from .oracles import (
     finite_time_instability,
     galerkin_rhs,
     nlse_dns,
-    point_vortex,
     spectral_grid,
 )
 
@@ -330,9 +328,8 @@ def _rel_gap(value, ref):
 
 
 def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
-    """One euler run; `metrics_of(times, centers, pv, cores)` adds the
-    experiment's own metrics to the shared ones, with pv = (strengths, times,
-    centers) of the point-vortex reference and cores = (X, V) of the
+    """One euler run; `metrics_of(times, centers, cores)` adds the
+    experiment's own metrics to the shared ones, with cores = (X, V) of the
     core-centroid oracle."""
     family = VortexStreamFunction(n_vortices)
     model = vorticity(config["nu"], exact=True)
@@ -349,16 +346,9 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     cores = core_centroid_velocities(
         rule0, ev0.field, ev0.F, family.centers(q0), np.sign(family.unpack(q0)[0])
     )
-
-    # point-vortex reference, for information: circulations matched by
-    # quadrature of each vortex's sign-definite core. The Gaussian stream
-    # function makes each vortex shielded, so its net circulation integrates
-    # to zero; `net_circulations` records that, and point vortices with those
-    # strengths would not move.
+    # the Gaussian stream function makes each vortex shielded: its net
+    # circulation integrates to zero, its sign-definite core's does not
     net, core = _vortex_circulations(family, q0, ev0)
-    pv_t, pv_x = point_vortex(
-        PointVortexState(core, family.centers(q0)), config["t_end"] / 400, config["t_end"]
-    )
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     files["trajectory"] = "trajectory.csv"
@@ -368,9 +358,6 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
     _write_csv(out_dir / "series_rons_tracks.csv", tracks,
                np.column_stack([traj.times, rons_x.reshape(len(traj), -1)]))
     series["rons_tracks"] = "series_rons_tracks.csv"
-    _write_csv(out_dir / "series_pv_tracks_core.csv", tracks,
-               np.column_stack([pv_t, pv_x.reshape(len(pv_t), -1)]))
-    series["pv_tracks_core"] = "series_pv_tracks_core.csv"
     _write_euler_fields(config, family, traj, out_dir, files)
 
     drift = traj.invariant_drift()
@@ -388,11 +375,11 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
         "core_circulations": [float(g) for g in core],
         "max_cond_M": float(np.max(traj.diagnostics["cond_M"])),
     }
-    metrics.update(metrics_of(traj.times, rons_x, (core, pv_t, pv_x), cores))
-    return metrics, {"model": "rons_tracks", "reference": "pv_tracks_core"}
+    metrics.update(metrics_of(traj.times, rons_x, cores))
+    return metrics, {"model": "rons_tracks"}
 
 
-def _dipole_metrics(times, centers, pv, cores):
+def _dipole_metrics(times, centers, cores):
     mid = 0.5 * (centers[:, 0] + centers[:, 1])
     disp = mid - mid[0]
     total = np.linalg.norm(disp[-1])
@@ -400,20 +387,14 @@ def _dipole_metrics(times, centers, pv, cores):
     direction = disp[-1] / max(total, 1e-300)
     lateral = np.abs(disp[:, 0] * direction[1] - disp[:, 1] * direction[0])
     speeds = np.linalg.norm(np.diff(mid, axis=0), axis=1) / np.diff(times)
-    _, pv_t, pv_x = pv
-    pv_mid = [0.5 * (x[0] + x[1]) for x in (pv_x[0], pv_x[-1])]
     _, V = cores
-    v_rons = float(np.mean(speeds))
-    v_pv = float(np.linalg.norm(pv_mid[1] - pv_mid[0]) / (pv_t[-1] - pv_t[0]))
     return {
-        "rons_speed": v_rons,
+        "rons_speed": float(np.mean(speeds)),
         "speed_rel_variation": float(
             (speeds.max() - speeds.min()) / np.mean(speeds)
         ),
         "lateral_dev_over_distance": float(np.max(lateral) / max(total, 1e-300)),
         "euler_core_speed": float(np.linalg.norm(0.5 * (V[0] + V[1]))),
-        "pv_speed_core_circulation": v_pv,
-        "speed_rel_gap_pv_core": _rel_gap(v_rons, v_pv),
         "initial_separation": float(np.hypot(*(centers[0, 0] - centers[0, 1]))),
     }
 
@@ -422,7 +403,7 @@ def _fit_angular_velocity(times, theta):
     return float(np.polyfit(times, theta, 1)[0])
 
 
-def _pair_metrics(times, centers, pv, cores):
+def _pair_metrics(times, centers, cores):
     rel = centers[:, 1] - centers[:, 0]
     sep = np.linalg.norm(rel, axis=1)
     theta = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
@@ -437,10 +418,6 @@ def _pair_metrics(times, centers, pv, cores):
             _fit_angular_velocity(times[idx], theta[idx]) for idx in thirds
         ]
         rate_variation = float((max(omega_windows) - min(omega_windows)) / abs(omega))
-    strengths, pv_t, pv_x = pv
-    rel_pv = pv_x[:, 1] - pv_x[:, 0]
-    th_pv = np.unwrap(np.arctan2(rel_pv[:, 1], rel_pv[:, 0]))
-    om_pv = _fit_angular_velocity(pv_t, th_pv)
     X, V = cores
     rel_core = X[1] - X[0]
     d_core = float(np.linalg.norm(rel_core))
@@ -451,9 +428,6 @@ def _pair_metrics(times, centers, pv, cores):
         "angular_velocity_rel_variation": rate_variation,
         "revolutions": float((theta[-1] - theta[0]) / (2 * np.pi)),
         "euler_core_angular_velocity": float((V[1] - V[0]) @ perp / d_core),
-        "pv_angular_velocity_core": om_pv,
-        "pv_formula_core": float(strengths[0] / (np.pi * sep[0] ** 2)),
-        "omega_rel_gap_pv_core": _rel_gap(omega, om_pv),
     }
 
 
@@ -462,7 +436,7 @@ def _count_swaps(xa, xb):
     return int(np.sum(np.diff(sign) != 0))
 
 
-def _leapfrog_metrics(times, centers, pv, cores):
+def _leapfrog_metrics(times, centers, cores):
     # vortices 1 and 3 carry positive amplitude, 2 and 4 negative
     x = centers[..., 0]
     return {
@@ -912,7 +886,7 @@ def validate_summary(summary: dict) -> None:
 def run(config: dict, out_dir: str | os.PathLike | None = None) -> RunRecord:
     """Execute one experiment; always writes a schema-valid summary.
 
-    Numerical aborts (domain, immersion, constraint failures, collisions) yield
+    Numerical aborts (domain, immersion and constraint failures) yield
     a record with status "failed" and the abort reason; config errors raise
     ValueError before anything is written.
     """
@@ -1038,8 +1012,8 @@ def compare(summary_a: str | os.PathLike, summary_b: str | os.PathLike) -> dict:
         )
     # paired scalar metrics: reduced-model value in A against oracle value in B
     pairs = [
-        ("rons_angular_velocity", "pv_angular_velocity_core"),
-        ("rons_speed", "pv_speed_core_circulation"),
+        ("rons_angular_velocity", "euler_core_angular_velocity"),
+        ("rons_speed", "euler_core_speed"),
         ("rons_peak_amp", "dns_peak_amp"),
         ("rons_peak_time", "dns_peak_time"),
     ]

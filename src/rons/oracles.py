@@ -3,7 +3,7 @@
 * exact closed-form solution of the linear advection-diffusion problem,
 * a Fourier pseudospectral solver for the cubic Schroedinger equation with
   Strang split-step time stepping (numpy.fft, two transforms per step),
-* Hamiltonian point-vortex dynamics for the 2D inviscid comparisons,
+* Hamiltonian point-vortex dynamics (no experiment uses it),
 * the exact Euler velocity of vortex-core vorticity centroids at one
   instant, from the full right-hand side of the vorticity equation,
 * the classical Galerkin projection for linear mode sets, and

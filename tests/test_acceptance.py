@@ -7,14 +7,8 @@ configurations in a session fixture and the criteria assert on the records.
 Clauses 5b and 6b compare the reduced vortex motion with the exact Euler
 dynamics of the same initial vorticity: the velocity of each core's
 vorticity centroid under the full vorticity equation at t = 0
-(`euler_core_speed`, `euler_core_angular_velocity`).  Kirchhoff point
-vortices are the small-core, well-separated limit of that quantity; they
-are not used as the reference because the Gaussian stream-function vortex is
-shielded (its net circulation integrates to zero, so a net-matched point
-vortex does not move) and its overlapping cores carry opposite-signed rings
-(so core-matched point vortices are off by about 50%).  The point-vortex
-numbers are still printed for information.  The dipole speed meets the
-exact reference to 1.4%.  The pair rotates at 0.1634, 8.4% above the
+(`euler_core_speed`, `euler_core_angular_velocity`).  The dipole speed
+meets the exact reference to 1.4%.  The pair rotates at 0.1634, 8.4% above the
 reference 0.1508 at the default resolution (a 256^2 pseudospectral run of
 the same initial vorticity gives 0.1485), a limit of the frozen-shape
 ansatz for this overlapping pair, so 6b is expected to fail.
@@ -199,8 +193,7 @@ def test_criterion_5_point_vortex_speed_match(records):
         "5b dipole-pv-speed",
         ok,
         f"rons speed {v_rons:.4f} vs exact-Euler core speed {v_ref:.4f} "
-        f"(gap {gap:.1%}); core-circulation point vortices for information: "
-        f"{m['pv_speed_core_circulation']:.4f} (gap {m['speed_rel_gap_pv_core']:.0%})",
+        f"(gap {gap:.1%})",
     )
     assert ok, (
         f"dipole speed {v_rons:.4f} differs from the exact-Euler core-centroid "
@@ -234,9 +227,7 @@ def test_criterion_6_point_vortex_omega_match(records):
         "6b pair-pv-omega",
         ok,
         f"rons omega {om_rons:.4f} vs exact-Euler core rate {om_ref:.4f} "
-        f"(gap {gap:.1%}); point vortices for information: Gamma/(pi d^2) = "
-        f"{m['pv_formula_core']:.4f} from core circulations "
-        f"(gap {m['omega_rel_gap_pv_core']:.0%})",
+        f"(gap {gap:.1%})",
     )
     assert ok, (
         f"pair rotation rate {om_rons:.4f} differs from the exact-Euler "

@@ -135,7 +135,7 @@ def test_compare_zero_reference_or_null_metric_writes_null(tmp_path, capsys):
     paths = []
     for name, metrics in (
         ("a", {"rons_angular_velocity": 0.16, "rons_speed": 0.4, "rons_peak_amp": None}),
-        ("b", {"pv_angular_velocity_core": 0.0, "pv_speed_core_circulation": 0.5,
+        ("b", {"euler_core_angular_velocity": 0.0, "euler_core_speed": 0.5,
                "dns_peak_amp": 0.4}),
     ):
         path = tmp_path / name / "summary.json"
@@ -149,6 +149,6 @@ def test_compare_zero_reference_or_null_metric_writes_null(tmp_path, capsys):
     result = _strict_json((tmp_path / "cmp.json").read_text())
     _strict_json(capsys.readouterr().out)
     gaps = result["metric_gaps"]
-    assert gaps["rons_angular_velocity_vs_pv_angular_velocity_core"]["rel_gap"] is None
-    assert gaps["rons_speed_vs_pv_speed_core_circulation"]["rel_gap"] == pytest.approx(0.2)
+    assert gaps["rons_angular_velocity_vs_euler_core_angular_velocity"]["rel_gap"] is None
+    assert gaps["rons_speed_vs_euler_core_speed"]["rel_gap"] == pytest.approx(0.2)
     assert gaps["rons_peak_amp_vs_dns_peak_amp"]["rel_gap"] is None

@@ -333,25 +333,6 @@ def test_euler_dipole_quick_run(tmp_path):
     assert all(abs(g) < 1e-10 for g in record.metrics["net_circulations"])
     # coarse-grid quadrature of the sign-restricted core is only %-accurate
     assert record.metrics["core_circulations"][0] == pytest.approx(4 * np.pi / np.e, rel=5e-3)
-    _assert_reference_moves(record)
-
-
-def _assert_reference_moves(record):
-    """The series `compare` takes as the reference is written and moves:
-    a point-vortex reference with the shielded vortices' zero net
-    circulations would stand still."""
-    with open(record.summary_path) as fh:
-        reference = json.load(fh)["series_roles"]["reference"]
-    header, data = _read(record.out_dir / record.series[reference])
-    assert header[:3] == ["t", "x1", "y1"]
-    assert np.ptp(data[:, 1]) > 1e-3
-
-
-@pytest.mark.parametrize("name", ["euler-pair", "euler-leapfrog"])
-def test_euler_reference_series_moves(name, tmp_path):
-    record = run({"experiment": name, "t_end": 0.5, "resolution": 64}, out_dir=tmp_path / name)
-    assert record.status == "ok"
-    _assert_reference_moves(record)
 
 
 def test_nlse_defocusing_quick_run(tmp_path):
