@@ -76,6 +76,18 @@ def _metric_difference(rel: Path, key: str, va, vb) -> str:
     return line
 
 
+def metric_differences(rel, ma: dict, mb: dict) -> list:
+    """One line per key whose values differ between the metrics ma and mb
+    of one run, `a != b`, a numeric one with its relative difference; `rel`
+    names the run (its path under the roots, or an experiment)."""
+    lines = []
+    for key in sorted(set(ma) | set(mb)):
+        va, vb = ma.get(key, "<absent>"), mb.get(key, "<absent>")
+        if va != vb:
+            lines.append(_metric_difference(rel, key, va, vb))
+    return lines
+
+
 def diff_runs(a: Path, b: Path) -> list:
     """One line per difference between the roots a and b."""
     problems = []
@@ -90,10 +102,7 @@ def diff_runs(a: Path, b: Path) -> list:
                 continue
             ma = json.loads((a / rel).read_text())["metrics"]
             mb = json.loads((b / rel).read_text())["metrics"]
-            for key in sorted(set(ma) | set(mb)):
-                va, vb = ma.get(key, "<absent>"), mb.get(key, "<absent>")
-                if va != vb:
-                    problems.append(_metric_difference(rel, key, va, vb))
+            problems.extend(metric_differences(rel, ma, mb))
     return problems
 
 

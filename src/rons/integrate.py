@@ -1,7 +1,10 @@
 """Time integration of the reduced parameter ODE with dense diagnostics.
 
 Two schemes: classical fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair.  The adaptive driver doubles as a general-purpose ODE solver for the
+pair.  The adaptive driver sets each step from the error estimate of the
+last one and, once two steps are accepted, from the trend of their errors
+(predictive step control), so a steadily growing error shortens the step
+before it is rejected.  It doubles as a general-purpose ODE solver for the
 reference oracles (point vortices, the second-order instability demo).
 
 When integrating reduced dynamics, trial stages can graze the boundary of
@@ -204,12 +207,22 @@ def solve_adaptive_rk45(
     max_domain_retries: int = 0,
     step_callback=None,
 ):
-    """Dormand-Prince 5(4) with standard error-based step control.
+    """Dormand-Prince 5(4) with predictive step control.
+
+    After a rejected step and after the first accepted one, the next step
+    is h * 0.9 err^(-1/5).  After an accepted step (h, err) that follows an
+    accepted step (h_prev, err_prev), the factor is the smaller of that and
+    Gustafsson's predictive 0.9 (h / h_prev) (err_prev / err)^(1/5)
+    err^(-1/5), with err_prev floored at 1e-2 as in RADAU5 (Gustafsson, ACM
+    TOMS 1994; Hairer & Wanner, Solving ODEs II, IV.8).  The factor is
+    clipped to [0.2, 5] after an accepted step (5 when err = 0) and to
+    [0.2, 1] after a rejected one.
 
     Returns (times, states, derivs) at accepted steps, endpoint included.
     If f raises _StageRejected (used by the reduced-ODE wrapper for domain
     violations at trial states), the step is halved up to
-    max_domain_retries times.
+    max_domain_retries times; a halving clears the memory of the last
+    accepted step, since it is no error trend.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -222,6 +235,9 @@ def solve_adaptive_rk45(
     n_stages = 7
     h_floor = max(1e-14, 1e-12 * (t_end - t0))
     max_steps = 1_000_000
+    # the last accepted step and its error (floored at 1e-2, as in RADAU5);
+    # None until a step is accepted, and again after a domain halving
+    h_prev = err_prev = None
     for _ in range(max_steps):
         if t >= t_end:
             break
@@ -250,6 +266,7 @@ def solve_adaptive_rk45(
                 if domain_retries > max_domain_retries:
                     raise
                 h *= 0.5
+                h_prev = None  # a halving is no error trend
                 continue
 
             y5 = ys
@@ -266,6 +283,12 @@ def solve_adaptive_rk45(
                 if step_callback is not None:
                     step_callback(t, y, k0)
                 factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+                if h_prev is not None and err > 0:
+                    # extrapolate the error trend of the last two accepted
+                    # steps, so a growing error shortens the step before a
+                    # rejection does
+                    factor = min(factor, factor * (h / h_prev) * (err_prev / err) ** 0.2)
+                h_prev, err_prev = h, max(err, 1e-2)
                 h *= min(5.0, max(0.2, factor))
                 break
             h *= min(1.0, max(0.2, 0.9 * err ** -0.2))

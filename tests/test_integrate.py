@@ -290,6 +290,23 @@ def test_rk45_euler_dipole_assembles_each_state_once(assembled_states, tmp_path)
     assert len(set(assembled_states)) == len(assembled_states)
 
 
+def test_rk45_leapfrog_prefix_rejects_almost_no_steps(assembled_states):
+    # from t = 3 on, leapfrog's error per unit step grows about 3.4x per
+    # step; predictive step control shortens the step ahead of that growth,
+    # where the elementary rule h *= 0.9 err^(-1/5) rejected 20 of 47 steps
+    defaults = EXPERIMENTS["euler-leapfrog"].defaults
+    model = vorticity(defaults["nu"], exact=True)
+    traj = integrate(
+        VortexStreamFunction(4), model, None, model.conserved, defaults["q0"],
+        IntegratorConfig(t_end=5.0, rtol=1e-7, atol=1e-9),
+    )
+    accepted = len(traj) - 1
+    # q0 and the initial-step probe, then six stages per attempt (FSAL)
+    attempts, rest = divmod(len(assembled_states) - 2, 6)
+    assert rest == 0
+    assert attempts - accepted <= 2
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["quadrature", "exact"])
 def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     # the recorder reads the invariants from the assembled system's bundle,
@@ -359,7 +376,10 @@ def test_rk4_advdiff_assembles_each_state_once(assembled_states, advdiff_setup):
 def _reference_rk45(f, t0, y0, t_end, rtol, atol):
     """DP5(4) with the step control written out in its reference form:
     np.linalg.norm for the error norms, np.array_equal for the repeated
-    seventh stage, the stage times read from the numpy tableau."""
+    seventh stage, the stage times read from the numpy tableau, and the
+    predictive step-size rule (Gustafsson 1994; Hairer & Wanner, Solving
+    ODEs II, IV.8) read from the list of accepted steps and errors, with the
+    RADAU5 floor on the previous error applied where it is read."""
 
     def rms(x):
         return np.linalg.norm(x) / np.sqrt(x.size)
@@ -373,6 +393,7 @@ def _reference_rk45(f, t0, y0, t_end, rtol, atol):
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h = min(100 * h0, h1, t_end - t)
     times, states, derivs = [t], [y], [k0]
+    accepted = []  # (h, err) of every accepted step
     while t < t_end:
         h = min(h, t_end - t)
         k = np.empty((7, y.size))
@@ -392,7 +413,15 @@ def _reference_rk45(f, t0, y0, t_end, rtol, atol):
             times.append(t)
             states.append(y)
             derivs.append(k0)
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+            elementary = 0.9 * err ** -0.2 if err > 0 else 5.0
+            if accepted and err > 0:
+                h_acc, err_acc = accepted[-1]
+                trend = (max(err_acc, 1e-2) / err) ** 0.2
+                factor = min(elementary, elementary * (h / h_acc) * trend)
+            else:
+                factor = elementary
+            accepted.append((h, err))
+            h *= float(np.clip(factor, 0.2, 5.0))
         else:
             h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
     return np.array(times), np.array(states), np.array(derivs)
