@@ -7,15 +7,14 @@ take the spatial derivatives its PDE needs.  All derivatives are closed
 forms; no numerical differentiation happens at evaluation time.  The test
 suite validates every closed form against central finite differences.
 
-The Gaussian stream-function family has two kernels.
-`VortexStreamFunction.terms` builds the requested derivative orders and
-parameter tangents of all vortices at every point of a rule in one pass;
-the vorticity model calls it once per node bundle (field snapshots, the
-t = 0 core-centroid oracle, the Galerkin projection on a rule).
-`VortexStreamFunction.axis_factors` builds the 1-D factors X_a(x), Y_b(y)
-of each vortex's Gaussian derivatives, D^(a,b) G = X_a(x) Y_b(y), with
-their length-scale derivatives; the exact projection
-(`rons.models.vortex_integrals`) calls it once per parameter state.
+The Gaussian stream-function family has one kernel,
+`VortexStreamFunction.axis_factors`.  It builds the 1-D factors X_a(x),
+Y_b(y) of each vortex's Gaussian derivatives, D^(a,b) G = X_a(x) Y_b(y),
+with their length-scale derivatives, on given x and y nodes.  Everything
+else is made of its rows: `VortexStreamFunction.terms` multiplies them
+elementwise at scattered points, the vorticity model's window fields are
+outer products of them on a box rule's two axes, and the exact projection
+(`rons.models.vortex_integrals`) contracts them on Gauss-Hermite nodes.
 Nothing is cached between calls.
 
 Point batches are arrays of shape (P,) for 1D families and (P, 2) for the
@@ -104,7 +103,7 @@ class AnsatzFamily:
 
 
 # ---------------------------------------------------------------------------
-# Hermite helpers shared by the Gaussian-shaped families.
+# Hermite polynomials of the Gaussian-shaped families.
 #
 # d^k/dx^k exp(-s^2) = (-1)^k H_k(s) exp(-s^2) / L^k   with s = (x - c) / L,
 # where H_k are the physicists' Hermite polynomials.
@@ -134,6 +133,10 @@ _AXIS_POLYNOMIALS = np.array([
     [4.0, 0.0, -20.0, 0.0, 8.0],        # (2 s^2 - 2) H_2 - 4 s H_1
 ])
 _AXIS_R_POWERS = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+_XL = 5                    # XL_a is row 5 + a, X_a row a
+# the orders the rows cover: X_a, and the tangents, which need X_{a+1} and XL_a
+_MAX_ORDER = 4
+_MAX_TANGENT_ORDER = 2
 
 
 def _amplitude_length_violation(A, L) -> str | None:
@@ -255,10 +258,10 @@ class VortexStreamFunction(AnsatzFamily):
     psi(x; q) = sum_i A_i exp(-|x - x_i|^2 / L_i^2) with 4 parameters
     (A_i, L_i, x_i, y_i) per vortex.  The family evaluates the stream
     function; the vorticity model derives velocity and vorticity from it.
-    Every value, tangent and spatial derivative at given points comes from
-    one kernel, `terms`, which builds all requested derivative orders of
-    all vortices in a single pass; `axis_factors` gives the derivatives of
-    single vortices as products of 1-D factors, one per axis.
+    Every value, tangent and spatial derivative is a product of 1-D
+    factors, one per axis, from the one kernel `axis_factors`; `terms`
+    builds the requested derivative orders of all vortices at scattered
+    points from them.
     """
 
     def __init__(self, n_vortices: int):
@@ -300,70 +303,45 @@ class VortexStreamFunction(AnsatzFamily):
         return None
 
     def terms(self, points, q, orders, tangent_orders):
-        """Mixed spatial derivatives of psi and their parameter tangents.
+        """Mixed spatial derivatives of psi and their parameter tangents at
+        scattered points (P, 2).
 
         Returns (psi, dpsi): psi[a, b] is D^(a,b) psi, shape (P,), for each
         (a, b) in `orders`, and dpsi[a, b] is d/dq of D^(a,b) psi, shape
         (n, P), for each (a, b) in `tangent_orders`; orders are (a, b)
-        tuples.  With the scaled offsets sx = (x - x_i)/L_i,
-        sy = (y - y_i)/L_i, E = exp(-sx^2 - sy^2) and the Hermite
-        polynomials H_k, each Gaussian factor has
-
-            D^(a,b) G_i = [(-1/L_i)^a H_a(sx)] [(-1/L_i)^b H_b(sy) E],
-
-        built here as one (orders x vortices x P) table.  Only the tables
-        that are asked for are built: a full tangent table of every order
-        would dominate the memory of a large rule.
+        tuples.  Every table is an elementwise product of the factors of
+        `axis_factors` at the points, D^(a,b) G_v = X_a(x) Y_b(y), so values
+        go through order 4 per axis and tangents through order 2.  Only the
+        tables that are asked for are built.
         """
-        # the tangents of D^(a,b) G need the neighbouring orders: the center
-        # tangents are -D^(a+1,b) G and -D^(a,b+1) G, and with dsx/dL = -sx/L
-        # and H_k' = 2k H_{k-1} the length-scale tangent is
-        #   [(2 s^2 - a - b) D^(a,b) G + 2a sx/L D^(a-1,b) G + 2b sy/L D^(a,b-1) G] / L
-        needed = set(orders)
-        for a, b in tangent_orders:
-            needed |= {(a, b), (a + 1, b), (a, b + 1), (max(a - 1, 0), b), (a, max(b - 1, 0))}
-        needed = sorted(needed)
-        kmax = max(max(o) for o in needed)
-
-        # rows: vortices, columns: points
-        A, L, xc, yc = (v[:, None] for v in self.unpack(q))
-        scales = [(-1.0 / L) ** k for k in range(kmax + 1)]
-        sx = (points[:, 0] - xc) / L
-        sy = (points[:, 1] - yc) / L
-        s2 = sx**2 + sy**2
-        E = np.exp(-s2)
-        Dx = [c * H for c, H in zip(scales, _hermite_table(sx, kmax))]
-        DyE = [c * H * E for c, H in zip(scales, _hermite_table(sy, kmax))]
-        G = np.empty((len(needed),) + s2.shape)
-        row = {}
-        for k, (a, b) in enumerate(needed):
-            np.multiply(Dx[a], DyE[b], out=G[k])
-            row[a, b] = k
-        del Dx, DyE                                        # before the tangent tables
-        psi_all = A[:, 0] @ G
-        psi = {o: psi_all[row[o]] for o in orders}
-
+        if any(max(o) > _MAX_ORDER for o in orders) or any(
+            max(o) > _MAX_TANGENT_ORDER for o in tangent_orders
+        ):
+            raise ValueError(
+                f"vortex derivatives go through order {_MAX_ORDER} per axis and "
+                f"their tangents through order {_MAX_TANGENT_ORDER}; asked for "
+                f"{tuple(orders)} and tangents of {tuple(tangent_orders)}"
+            )
+        A, L, _, _ = (v[:, None] for v in self.unpack(q))
+        X, Y = self.axis_factors(np.asarray(points).T[:, None], q).swapaxes(0, 1)
+        psi = {(a, b): A[:, 0] @ (X[a] * Y[b]) for a, b in orders}
         dpsi = {}
         for a, b in tangent_orders:
-            d_dL = (2.0 * s2 - (a + b)) * G[row[a, b]]
-            if a >= 1:
-                d_dL += 2.0 * a * sx / L * G[row[a - 1, b]]
-            if b >= 1:
-                d_dL += 2.0 * b * sy / L * G[row[a, b - 1]]
-            d = np.empty((s2.shape[0], 4, s2.shape[1]))    # A_i, L_i, x_i, y_i
-            d[:, 0] = G[row[a, b]]
-            np.multiply(A / L, d_dL, out=d[:, 1])
-            np.multiply(-A, G[row[a + 1, b]], out=d[:, 2])
-            np.multiply(-A, G[row[a, b + 1]], out=d[:, 3])
-            dpsi[a, b] = d.reshape(-1, s2.shape[1])
+            d = np.empty((self.n_vortices, 4, X.shape[-1]))        # A_v, L_v, x_v, y_v
+            np.multiply(X[a], Y[b], out=d[:, 0])
+            np.multiply(A / L, X[_XL + a] * Y[b] + X[a] * Y[_XL + b], out=d[:, 1])
+            np.multiply(-A * X[a + 1], Y[b], out=d[:, 2])
+            np.multiply(-A * X[a], Y[b + 1], out=d[:, 3])
+            dpsi[a, b] = d.reshape(self.n, -1)
         return psi, dpsi
 
     def axis_factors(self, nodes, q):
         """The 1-D factors of each vortex on its own nodes.
 
         `nodes` (2, n_vortices, N) holds the x and y coordinates of N nodes
-        per vortex.  The result (8, 2, n_vortices, N) holds on the x axis of
-        vortex v, with s = (x - x_v)/L_v and r = -1/L_v, the rows
+        per vortex, or (2, 1, N) those of N nodes shared by all vortices.
+        The result (8, 2, n_vortices, N) holds on the x axis of vortex v,
+        with s = (x - x_v)/L_v and r = -1/L_v, the rows
         X_a = r^a H_a(s) e^{-s^2} for a = 0..4 and then
         XL_a = L_v dX_a/dL_v = (2 s^2 - a) X_a + 2a (s/L_v) X_{a-1} for
         a = 0..2, each r^a times a fixed polynomial of s (`_AXIS_POLYNOMIALS`)

@@ -44,7 +44,7 @@ from .engine import assemble, fit_initial, reduced_rhs
 from .errors import IntegrationAbort, RonsError
 from .hilbert import box_rule, make_rule, norm_sq, periodic_interval, real_line
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .models import advection_diffusion, nlse, vorticity
+from .models import advection_diffusion, nlse, vortex_window_fields, vorticity
 from .oracles import (
     SpectralState,
     core_centroid_velocities,
@@ -448,13 +448,12 @@ def _leapfrog_metrics(times, centers, cores):
 
 def _write_euler_fields(config, family, traj, out_dir, files):
     """psi and omega = -(psi_xx + psi_yy) on a window around each snapshot
-    state, from one kernel pass per snapshot."""
+    state, from one `axis_factors` call on the window's axes per snapshot."""
     fields = []
     for t, q in zip(*_uniform_series(traj, config["snapshots"])):
         r = _window_rule(family, q, config["window_pad"], min(config["resolution"], 64))
-        psi, _ = family.terms(r.nodes, q, ((0, 0), (2, 0), (0, 2)), ())
-        omega = -(psi[2, 0] + psi[0, 2])
-        fields.append(np.column_stack([np.full(len(r), t), r.nodes, psi[0, 0], omega]))
+        psi, omega = vortex_window_fields(family, q, r)
+        fields.append(np.column_stack([np.full(len(r), t), r.nodes, psi, omega]))
     _write_csv(out_dir / "fields.csv", ["t", "x", "y", "psi", "omega"], np.vstack(fields))
     files["fields"] = "fields.csv"
 

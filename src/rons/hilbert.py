@@ -13,6 +13,9 @@ their reduced equations without these rules, by exact integrals over the
 whole domain (`rons.models.vortex_integrals`, Gauss-Hermite, and
 `rons.models.wave_packet_integrals`, closed form); their rules serve field
 snapshots, the t = 0 core-centroid oracle and the quadrature projections.
+The 2D rules are Gauss-Legendre tensor rules on a box (`box_rule`) and keep
+their two 1-D axes, so that a field which factors into an x part and a y
+part is tabulated on the nx ny nodes from nx + ny factor values.
 """
 
 from __future__ import annotations
@@ -76,10 +79,15 @@ class QuadratureRule:
     """Nodes and positive weights defining the discrete inner product.
 
     nodes has shape (P,) in 1D and (P, 2) in 2D; weights has shape (P,).
+    A tensor rule in 2D also keeps its 1-D axes (x, y), of nx and ny nodes
+    with P = nx ny: its nodes are every (x_i, y_j), x-major (node i ny + j),
+    so a field tabulated as an (nx, ny) grid ravels onto them.  axes is
+    None for every other rule.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.weights) != len(self.nodes):
@@ -90,6 +98,11 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be strictly positive")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+        if self.axes is not None:
+            if len(self.axes[0]) * len(self.axes[1]) != len(self.nodes):
+                raise ValueError("the axes must span the nodes")
+            for axis in self.axes:
+                axis.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -160,7 +173,8 @@ def box_rule(lo, hi, resolution) -> QuadratureRule:
 
     resolution is the node count per axis, or a tuple (nx, ny).  Used for
     windows around the current vortex positions, which may have translated
-    far from the origin, at a fixed node count.
+    far from the origin, at a fixed node count.  The rule keeps its axes,
+    on which separable fields are tabulated factor by factor.
     """
     if np.isscalar(resolution):
         resolution = (int(resolution), int(resolution))
@@ -172,7 +186,7 @@ def box_rule(lo, hi, resolution) -> QuadratureRule:
     y, wy = gauss_legendre(y0, y1, ny)
     X, Y = np.meshgrid(x, y, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadratureRule(nodes, np.outer(wx, wy).ravel())
+    return QuadratureRule(nodes, np.outer(wx, wy).ravel(), axes=(x, y))
 
 
 def make_rule(domain: Domain, resolution) -> QuadratureRule:

@@ -26,7 +26,11 @@ rule; their bundles have `rule = None`:
 
 The vorticity model's `evaluation` on a rule remains the node bundle for
 field snapshots, the t = 0 core-centroid oracle and the quadrature
-projection.
+projection.  It needs a box rule: the same factoring makes every field
+and tangent table on the rule's nx x ny nodes a sum of outer products of
+factor rows on its two axes, built from one `axis_factors` call on the
+axes and the declarations (`_W`, `_PSI_X`, `_tangents`, ...) that the
+exact projection reads.
 
 Conserved quantities expose a value and a gradient in parameter space.  The
 wave-packet mass and energy use closed-form Gaussian moments (cross-checked
@@ -44,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import AnsatzFamily, GaussianWavePacket, VortexStreamFunction
+from .ansatz import _XL, AnsatzFamily, GaussianWavePacket, VortexStreamFunction
 from .hilbert import QuadratureRule
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "nlse",
     "vorticity",
     "vortex_integrals",
+    "vortex_window_fields",
     "wave_packet_integrals",
     "nlse_invariants",
     "euler_invariants",
@@ -346,13 +351,14 @@ def _require_stream_family(family) -> VortexStreamFunction:
     return family
 
 
-# psi derivative orders of the inviscid right-hand side: u = (psi_y, -psi_x),
-# w = -lap psi and grad w; the viscous term adds lap w
-_INVISCID_ORDERS = ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
-_VISCOUS_ORDERS = ((4, 0), (2, 2), (0, 4))
-# orders whose parameter tangents are needed: those of w and of u
-_W_TANGENT_ORDERS = ((2, 0), (0, 2))
-_U_TANGENT_ORDERS = ((1, 0), (0, 1))
+def _require_axes(rule) -> tuple[np.ndarray, np.ndarray]:
+    axes = getattr(rule, "axes", None)
+    if axes is None:
+        raise TypeError(
+            "the vorticity model on a rule needs a tensor rule with its axes "
+            f"(`box_rule`), got {type(rule).__name__} without"
+        )
+    return axes
 
 # Gauss-Hermite nodes of each 1-D rule.  Per axis, a tangent of w is a
 # polynomial of degree <= 4 times the Gaussians, u.grad w of degree <= 3 and
@@ -377,13 +383,13 @@ def _hermite_rule(nodes: int):
 
 # The fields of one vortex as sums of sign * A_v D^(a,b) G_v, written
 # (sign, a, b); D^(a,b) G_v = X_a(x) Y_b(y) (`VortexStreamFunction.axis_factors`).
+_PSI = ((1, 0, 0),)
 _PSI_X = ((1, 1, 0),)
 _PSI_Y = ((1, 0, 1),)
 _W = ((-1, 2, 0), (-1, 0, 2))
 _W_X = ((-1, 3, 0), (-1, 1, 2))
 _W_Y = ((-1, 2, 1), (-1, 0, 3))
 _LAP_W = ((-1, 4, 0), (-2, 2, 2), (-1, 0, 4))
-_XL = 5        # XL_a is row 5 + a of `axis_factors`, X_a row a
 
 
 def _value(field):
@@ -633,11 +639,91 @@ def vortex_integrals(
     )
 
 
+# Window fields: on a box rule every field of `_W`, `_PSI_X`, ... is a sum
+# over vortices and terms of outer products X_a (x) Y_b of factor rows on
+# the rule's two axes, so the (n, P) tables are matrix products of
+# per-axis tables of the vortices, and nothing is evaluated node by node.
+_INVISCID_VALUES = _value(_PSI_X) + _value(_PSI_Y) + _value(_W) + _value(_W_X) + _value(_W_Y)
+_VISCOUS_VALUES = _INVISCID_VALUES + _value(_LAP_W)
+
+
+class _PaddedRows(NamedTuple):
+    """Rows of terms, each padded to K terms: each row's coefficient and
+    the (rows, K) x factors, y factors and signs of its terms (sign 0
+    pads)."""
+
+    coefficient: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    signs: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _padded(rows) -> _PaddedRows:
+    K = max(len(terms) for _, terms in rows)
+    fx, fy = np.zeros((2, len(rows), K), dtype=int)
+    signs = np.zeros((len(rows), K))
+    for r, (_, terms) in enumerate(rows):
+        for k, (sign, a, b) in enumerate(terms):
+            signs[r, k], fx[r, k], fy[r, k] = sign, a, b
+    return _PaddedRows(np.array([c for c, _ in rows]), fx, fy, signs)
+
+
+class _Grid(NamedTuple):
+    """The factor rows of one state on a box rule's axes, X (8, n_vortices,
+    nx) and Y (8, n_vortices, ny), and the row coefficients 1, A_v and
+    A_v / L_v, (3, n_vortices)."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    coefficients: np.ndarray
+
+
+def _grid(family, q, rule) -> _Grid:
+    """One `axis_factors` call, on the two axes of the rule as one node set
+    shared by all vortices (the shorter axis padded with zeros)."""
+    fam = _require_stream_family(family)
+    x, y = _require_axes(rule)
+    nodes = np.zeros((2, 1, max(len(x), len(y))))
+    nodes[0, 0, : len(x)], nodes[1, 0, : len(y)] = x, y
+    table = fam.axis_factors(nodes, q)
+    A, L, _, _ = fam.unpack(q)
+    coefficients = np.array([np.ones_like(A), A, A / L])
+    return _Grid(table[:, 0, :, : len(x)], table[:, 1, :, : len(y)], coefficients)
+
+
+def _on_grid(grid: _Grid, rows, each_vortex: bool = False) -> np.ndarray:
+    """The rows' fields at the rule's nodes (x-major).  Summed over the
+    vortices, (rows, P): per row one (nx, n_vortices K)(n_vortices K, ny)
+    product.  With `each_vortex`, every vortex's own, (n_vortices rows, P):
+    per vortex and row one (nx, K)(K, ny) product, so the four rows of
+    `_tangents` give the tangent table in parameter order."""
+    rows = _padded(rows)
+    R, K = rows.fx.shape
+    nv, nx, ny = grid.X.shape[1], grid.X.shape[2], grid.Y.shape[2]
+    scale = rows.signs[:, :, None] * grid.coefficients[rows.coefficient][:, None, :]
+    left = grid.X[rows.fx] * scale[..., None]                 # (R, K, nv, nx)
+    right = grid.Y[rows.fy]                                    # (R, K, nv, ny)
+    if each_vortex:
+        left = left.transpose(2, 0, 3, 1)                      # (nv, R, nx, K)
+        right = right.transpose(2, 0, 1, 3)                    # (nv, R, K, ny)
+    else:
+        left = left.transpose(0, 3, 1, 2).reshape(R, nx, K * nv)
+        right = right.reshape(R, K * nv, ny)
+    return np.matmul(np.ascontiguousarray(left), np.ascontiguousarray(right)).reshape(-1, nx * ny)
+
+
+def vortex_window_fields(family, q, rule) -> tuple[np.ndarray, np.ndarray]:
+    """psi and w = -lap psi at the nodes of a box rule."""
+    psi, w = _on_grid(_grid(family, q, rule), _value(_PSI) + _value(_W))
+    return psi, w
+
+
 class Vorticity(PdeModel):
     """w_t + u . grad w = nu lap w.  With `exact`, the projection integrates
     over the whole plane (`vortex_integrals`) and ignores the rule it is
     handed; otherwise it is the Galerkin projection on that rule, like every
-    model's."""
+    model's, and the rule must be a box rule."""
 
     def __init__(self, nu: float, exact: bool = False):
         if nu < 0:
@@ -651,28 +737,25 @@ class Vorticity(PdeModel):
         return self.evaluation(family, q, rule).F
 
     def evaluation(self, family, q, rule):
-        fam = _require_stream_family(family)
-        orders = _INVISCID_ORDERS + (_VISCOUS_ORDERS if self.nu > 0 else ())
-        psi, dpsi = fam.terms(rule.nodes, q, orders, _W_TANGENT_ORDERS + _U_TANGENT_ORDERS)
-        w = -(psi[2, 0] + psi[0, 2])
-        ux, uy = psi[0, 1], -psi[1, 0]
-        wx = -(psi[3, 0] + psi[1, 2])
-        wy = -(psi[2, 1] + psi[0, 3])
-        F = -(ux * wx + uy * wy)
+        """The node bundle on a box rule, from one `axis_factors` call on its
+        axes: the fields and their tangents are `_on_grid` tables of the
+        declarations the exact projection reads."""
+        grid = _grid(family, q, rule)
+        psi_x, psi_y, w, w_x, w_y, *lap_w = _on_grid(
+            grid, _VISCOUS_VALUES if self.nu > 0 else _INVISCID_VALUES
+        )
+        F = psi_x * w_y - psi_y * w_x      # -u . grad w with u = (psi_y, -psi_x)
         if self.nu > 0:
-            lap_w = -(psi[4, 0] + 2.0 * psi[2, 2] + psi[0, 4])
-            F = F + self.nu * lap_w
-        tangents = -dpsi[2, 0]     # in place: one (n, P) table fewer at the peak
-        tangents -= dpsi[0, 2]
+            F += self.nu * lap_w[0]
         return ModelEvaluation(
             field=w,
-            tangents=tangents,
+            tangents=_on_grid(grid, _tangents(_W), each_vortex=True),
             F=F,
             rule=rule,
-            psi_x=psi[1, 0],
-            psi_y=psi[0, 1],
-            psi_x_tangents=dpsi[1, 0],
-            psi_y_tangents=dpsi[0, 1],
+            psi_x=psi_x,
+            psi_y=psi_y,
+            psi_x_tangents=_on_grid(grid, _tangents(_PSI_X), each_vortex=True),
+            psi_y_tangents=_on_grid(grid, _tangents(_PSI_Y), each_vortex=True),
         )
 
     def projection(self, family, q, rule=None, quantities=()):
@@ -696,8 +779,8 @@ class KineticEnergy(ConservedQuantity):
         fam = _require_stream_family(family)
         if rule is None:
             return vortex_integrals(fam, q, 0.0).energy
-        psi, _ = fam.terms(rule.nodes, q, ((1, 0), (0, 1)), ())
-        return float(0.5 * np.sum(rule.weights * (psi[1, 0] ** 2 + psi[0, 1] ** 2)))
+        psi_x, psi_y = _on_grid(_grid(fam, q, rule), _value(_PSI_X) + _value(_PSI_Y))
+        return float(0.5 * np.sum(rule.weights * (psi_x**2 + psi_y**2)))
 
     def value_at(self, family, q, evaluation):
         ev = evaluation
@@ -723,8 +806,8 @@ class Enstrophy(ConservedQuantity):
         fam = _require_stream_family(family)
         if rule is None:
             return vortex_integrals(fam, q, 0.0).enstrophy
-        psi, _ = fam.terms(rule.nodes, q, ((2, 0), (0, 2)), ())
-        return float(0.5 * np.sum(rule.weights * (psi[2, 0] + psi[0, 2]) ** 2))
+        (w,) = _on_grid(_grid(fam, q, rule), _value(_W))
+        return float(0.5 * np.sum(rule.weights * w**2))
 
     def value_at(self, family, q, evaluation):
         ev = evaluation

@@ -167,22 +167,23 @@ def _max_gap(a, b):
     "family", [VortexStreamFunction(2), VortexStreamFunction(3)], ids=lambda f: f.name
 )
 def test_vortex_axis_factors_match_finite_differences(family):
-    # all eight rows, X_0..X_4 and XL_0..XL_2, on 5 and on 10 nodes per
-    # vortex: A_v X_a(x) Y_b(y) is D^(a,b) psi_v, and its tangents along
-    # A_v, L_v, x_v, y_v built from the factors match the rule kernel's and
-    # central differences of it
+    # the rows X_0..X_4 against (-1/L)^a H_a(s) e^{-s^2} from numpy's
+    # Hermite series on both axes, on 5 and on 10 nodes per vortex and on
+    # nodes shared by all vortices; then the tangents of A_v X_a(x) Y_b(y)
+    # built from the rows, XL_0..XL_2 among them, against central
+    # differences
     rng = np.random.default_rng(13)
-    single = VortexStreamFunction(1)
     for nodes in (5, 5, 10, 10, 10):
-        points = rng.uniform(-3, 3, size=(2, family.n_vortices, nodes))
         q = random_params(family, rng)
-        values, tangents = _factor_products(family, points, q)
-        for v in range(family.n_vortices):
-            psi, dpsi = single.terms(points[:, v].T, q[4 * v : 4 * v + 4], tuple(values), tuple(tangents))
-            for order, value in values.items():
-                assert _max_gap(value[v], psi[order]) <= 1e-13
-            for order, tangent in tangents.items():
-                assert _max_gap(tangent[:, v], dpsi[order]) <= 1e-13
+        _, L, xc, yc = (v[:, None] for v in family.unpack(q))
+        points = rng.uniform(-3, 3, size=(2, family.n_vortices, nodes))
+        for at in (points, points[:, :1]):
+            for rows, axis, center in zip(family.axis_factors(at, q).swapaxes(0, 1), at, (xc, yc)):
+                s = (axis - center) / L
+                for a in range(5):
+                    hermite = np.polynomial.hermite.hermval(s, np.eye(a + 1)[a])
+                    assert _max_gap(rows[a], (-1.0 / L) ** a * hermite * np.exp(-s * s)) <= 1e-13
+        _, tangents = _factor_products(family, points, q)
         for i in range(family.n):
             h = 1e-6 * max(1.0, abs(q[i]))
             qp, qm = q.copy(), q.copy()
@@ -197,6 +198,21 @@ def test_vortex_axis_factors_match_finite_differences(family):
                 expected = np.where(mine, tangent[param], 0.0)
                 scale = np.max(np.abs(tangent)) + 1e-12
                 assert np.max(np.abs(expected - fd)) / scale <= FD_TOL
+
+
+def test_vortex_terms_reject_orders_beyond_the_factor_rows():
+    # the factor rows go through X_4 and XL_2: values of order <= 4 per
+    # axis, tangents of order <= 2
+    family = VortexStreamFunction(2)
+    rng = np.random.default_rng(3)
+    pts, q = points_for(family, rng), random_params(family, rng)
+    psi, dpsi = family.terms(pts, q, ((4, 0), (2, 2), (0, 4)), ((2, 0), (2, 2), (0, 2)))
+    assert psi[2, 2].shape == (len(pts),) and dpsi[2, 2].shape == (family.n, len(pts))
+    for orders, tangent_orders in ((((5, 0),), ()), (((0, 5),), ()), ((), ((3, 0),)), ((), ((0, 3),))):
+        with pytest.raises(ValueError):
+            family.terms(pts, q, orders, tangent_orders)
+    with pytest.raises(ValueError):
+        family.spatial_derivative(pts, q, (1, 5))
 
 
 def test_sine_point_values():

@@ -434,8 +434,8 @@ def test_fit_multi_start_can_rescue():
 
 
 def _leapfrog_kernel_calls(monkeypatch, model):
-    """Calls of the rule kernel (`terms`) and of the per-axis kernel
-    (`axis_factors`) in one constrained assemble at the leapfrog q0."""
+    """Calls of the scattered-point tables (`terms`) and of the per-axis
+    kernel (`axis_factors`) in one constrained assemble at the leapfrog q0."""
     calls = {"terms": 0, "axis_factors": 0}
 
     def counted(name):
@@ -457,13 +457,14 @@ def _leapfrog_kernel_calls(monkeypatch, model):
 
 def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
     # the model evaluation and both fluid-invariant gradients share one
-    # table of Gaussian derivatives
-    assert _leapfrog_kernel_calls(monkeypatch, vorticity(0.0))["terms"] == 1
+    # build of the per-axis factors on the window's two axes
+    calls = _leapfrog_kernel_calls(monkeypatch, vorticity(0.0))
+    assert calls == {"terms": 0, "axis_factors": 1}
 
 
 def test_exact_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
     # the pair, triple and link-pair products of M, f, ||F||^2 and both
-    # gradients share one build of the per-axis tables, and the rule
-    # kernel is not called
+    # gradients share one build of the per-axis tables, and the
+    # scattered-point tables are not built
     calls = _leapfrog_kernel_calls(monkeypatch, vorticity(0.0, exact=True))
     assert calls == {"terms": 0, "axis_factors": 1}

@@ -180,6 +180,22 @@ def test_box_rule_matches_domain_rule():
     assert np.array_equal(a.weights, b.weights)
 
 
+def test_box_rule_axes_span_its_nodes_and_weights():
+    # a non-square box: the nodes are every (x_i, y_j), x-major, and the
+    # weights the products of the axes' Gauss-Legendre weights, bit for bit
+    lo, hi, (nx, ny) = (-5.2, -6.3), (6.0, 4.9), (48, 40)
+    rule = box_rule(lo, hi, (nx, ny))
+    x, y = rule.axes
+    (gx, wx), (gy, wy) = gauss_legendre(lo[0], hi[0], nx), gauss_legendre(lo[1], hi[1], ny)
+    assert np.array_equal(x, gx) and np.array_equal(y, gy)
+    assert np.array_equal(rule.nodes[:, 0], np.repeat(x, ny))
+    assert np.array_equal(rule.nodes[:, 1], np.tile(y, nx))
+    assert np.array_equal(rule.weights, (wx[:, None] * wy[None, :]).ravel())
+    assert not x.flags.writeable and not y.flags.writeable
+    assert make_rule(real_line(3.0), 16).axes is None
+    assert make_rule(periodic_interval(3.0), 16).axes is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16),

@@ -310,12 +310,12 @@ def test_rk45_leapfrog_prefix_rejects_almost_no_steps(assembled_states):
 @pytest.mark.parametrize("exact", [False, True], ids=["quadrature", "exact"])
 def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     # the recorder reads the invariants from the assembled system's bundle,
-    # so each assemble is the only Gaussian-kernel pass of its state
-    # (the rule kernel `terms` for the quadrature projection, the per-axis
-    # tables `axis_factors` for the exact one)
+    # so each assemble is the only Gaussian-kernel pass of its state: one
+    # build of the per-axis tables `axis_factors`, on the window's axes for
+    # the quadrature projection and on the Gauss-Hermite nodes for the
+    # exact one
     module = importlib.import_module("rons.integrate")
-    name = "axis_factors" if exact else "terms"
-    kernel, original = getattr(VortexStreamFunction, name), module.assemble
+    kernel, original = VortexStreamFunction.axis_factors, module.assemble
     kernel_calls, assembles = [], []
 
     def counted_kernel(self, *args):
@@ -326,7 +326,7 @@ def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
         assembles.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(VortexStreamFunction, name, counted_kernel)
+    monkeypatch.setattr(VortexStreamFunction, "axis_factors", counted_kernel)
     monkeypatch.setattr(module, "assemble", counted_assemble)
     defaults = EXPERIMENTS["euler-pair"].defaults
     model = vorticity(defaults["nu"], exact=exact)

@@ -11,7 +11,7 @@ from rons.ansatz import (
     VortexStreamFunction,
     fourier_modes,
 )
-from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
+from rons.hilbert import QuadratureRule, box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
     PRODUCT_NODES,
     PdeModel,
@@ -232,22 +232,60 @@ def test_vorticity_axisymmetric_rhs_vanishes():
 
 
 def test_vorticity_dipole_mirror_antisymmetry():
+    # the dipole maps onto itself under y -> -y with its amplitudes
+    # negated: omega is antisymmetric, and so is its advection tendency.
+    # On a box rule symmetric in y the mirror of node row j is row ny-1-j
     fam = VortexStreamFunction(2)
     model = vorticity(0.0)
     q = np.array([1.0, 0.75, -3.0, 0.5, -1.0, 0.75, -3.0, -0.5])
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-5, 1, size=(60, 2))
-    flipped = pts * np.array([1.0, -1.0])
+    nx, ny = 30, 24
+    rule = box_rule((-5.0, -4.0), (1.0, 4.0), (nx, ny))
+    y = rule.axes[1]
+    assert np.array_equal(y[::-1], -y)
+    ev = model.evaluation(fam, q, rule)
+    F = ev.F.reshape(nx, ny)
+    assert np.max(np.abs(F)) > 0.1
+    assert np.allclose(F[:, ::-1], -F, atol=1e-12)
+    w = ev.field.reshape(nx, ny)
+    assert np.allclose(w[:, ::-1], -w, atol=1e-12)
 
-    class _Rule:
-        pass
 
-    rule_a, rule_b = _Rule(), _Rule()
-    rule_a.nodes, rule_b.nodes = pts, flipped
-    Fa = model.apply_F(fam, q, rule_a)
-    Fb = model.apply_F(fam, q, rule_b)
-    # omega is antisymmetric under y -> -y; so is its advection tendency
-    assert np.allclose(Fb, -Fa, atol=1e-12)
+@pytest.mark.parametrize("nu", [0.0, 0.05])
+def test_vorticity_window_tables_match_scattered_terms(nu):
+    # the outer products on a non-square box rule's axes against the
+    # scattered-point tables at the rule's nodes: pins the x-major node
+    # order and the viscous term
+    fam = VortexStreamFunction(3)
+    q = np.array([1.3, 0.8, 0.4, -0.7, -1.1, 0.9, -0.5, 0.6, 0.7, 1.2, 2.0, 1.5])
+    rule = box_rule((-5.2, -6.3), (6.0, 4.9), (48, 40))
+    ev = vorticity(nu).evaluation(fam, q, rule)
+    orders = ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (1, 2), (2, 1), (0, 3), (4, 0), (2, 2), (0, 4))
+    psi, dpsi = fam.terms(rule.nodes, q, orders, ((2, 0), (0, 2), (1, 0), (0, 1)))
+    w_x, w_y = -(psi[3, 0] + psi[1, 2]), -(psi[2, 1] + psi[0, 3])
+    lap_w = -(psi[4, 0] + 2.0 * psi[2, 2] + psi[0, 4])
+    expected = {
+        "field": -(psi[2, 0] + psi[0, 2]),
+        "F": psi[1, 0] * w_y - psi[0, 1] * w_x + nu * lap_w,
+        "tangents": -(dpsi[2, 0] + dpsi[0, 2]),
+        "psi_x": psi[1, 0],
+        "psi_y": psi[0, 1],
+        "psi_x_tangents": dpsi[1, 0],
+        "psi_y_tangents": dpsi[0, 1],
+    }
+    for name, table in expected.items():
+        assert _rel_gap(getattr(ev, name), table) <= 1e-13, name
+
+
+def test_vorticity_needs_a_rule_with_axes():
+    fam = VortexStreamFunction(1)
+    q = np.array([1.0, 1.0, 0.0, 0.0])
+    rule = box_rule((-4.0, -4.0), (4.0, 4.0), 16)
+    scattered = QuadratureRule(rule.nodes.copy(), rule.weights.copy())
+    with pytest.raises(TypeError):
+        vorticity(0.0).evaluation(fam, q, scattered)
+    for qt in euler_invariants():
+        with pytest.raises(TypeError):
+            qt.value(fam, q, scattered)
 
 
 def test_vorticity_zero_stream_function_limit():
