@@ -22,8 +22,9 @@ and tests the rank of C.  A failure is not a numerical nuisance but a
 diagnosis (M not SPD means the ansatz map stopped being an immersion; C
 singular means the constraint gradients became dependent), and its
 message names the matrix with its size and extreme eigenvalues.  C
-itself is formed only where its condition estimate is read (`residual`).
-Only numpy is imported.
+itself is formed only where its condition estimate is read (`residual`),
+and so is ||F||^2, which the solve never reads: `residual` asks the
+projection's bundle for it.  Only numpy is imported.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ _EPS = np.finfo(float).eps
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
     if (mat == mat.T).all():
-        # closed-form projections (the wave packet's) are symmetric bit for bit
+        # the closed-form and exact projections are symmetric bit for bit:
+        # the wave packet's by its formula, the exact vortex M because
+        # `vortex_integrals` returns it as 0.5 (M + M^T), this same arithmetic
         return mat
     sym = 0.5 * (mat + mat.T)
     asym = np.abs(mat - mat.T).max() / max(np.abs(sym).max(), 1e-300)
@@ -126,7 +129,9 @@ class ResidualReport:
     J is 1/2 || sum_i (du/dq_i) qdot_i - F(u) ||^2 and J_raw is the qdot = 0
     value 1/2 ||F(u)||^2; the optimal qdot always satisfies J <= J_raw.
     On a rule's nodes J is the norm of the mismatch field itself; from exact
-    integrals it is 1/2 (qdot.M.qdot - 2 qdot.f + ||F||^2).
+    integrals it is 1/2 (qdot.M.qdot - 2 qdot.f + ||F||^2).  ||F||^2 comes
+    from the projection's bundle (`F_norm_sq()`), which computes it only
+    here: the solve never reads it.
     """
 
     J: float
@@ -235,11 +240,17 @@ def constraint_tangency(system: ReducedSystem, qdot: np.ndarray) -> np.ndarray:
 
 
 def residual(system: ReducedSystem, qdot) -> ResidualReport:
-    """Instantaneous error of a given qdot."""
+    """Instantaneous error of a given qdot.
+
+    ||F||^2 is computed here, by the bundle of the system's projection:
+    sum w |F|^2 on a rule's nodes, the closed form for the wave packet, and
+    for the exact vortex bundle the link-pair products, which the projection
+    leaves out, plus its stored nu-terms.
+    """
     qdot = np.asarray(qdot, dtype=float)
     proj = system.projection
-    J_raw = 0.5 * proj.F_norm_sq
     ev = proj.evaluation
+    J_raw = 0.5 * ev.F_norm_sq()
     if isinstance(ev, ModelEvaluation):
         # the mismatch field on the nodes: no cancellation when J << J_raw
         mismatch = ev.tangents.T @ qdot.astype(ev.tangents.dtype) - ev.F

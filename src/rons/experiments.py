@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -44,7 +44,13 @@ from .engine import assemble, fit_initial, reduced_rhs
 from .errors import IntegrationAbort, RonsError
 from .hilbert import box_rule, make_rule, norm_sq, periodic_interval, real_line
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .models import advection_diffusion, nlse, vortex_window_fields, vorticity
+from .models import (
+    advection_diffusion,
+    nlse,
+    vortex_window_fields,
+    vortex_window_vorticity,
+    vorticity,
+)
 from .oracles import (
     SpectralState,
     core_centroid_velocities,
@@ -305,16 +311,13 @@ def _run_nlse(config, out_dir, files, series):
 # -- euler family -----------------------------------------------------------
 
 
-def _vortex_circulations(family, q, evaluation):
-    """Net and positive-core circulation of each vortex, by quadrature.
-
-    Vortex i's own vorticity is A_i times the vorticity tangent along A_i.
-    """
-    w = evaluation.rule.weights
+def _vortex_circulations(family, q, rule, own):
+    """Net and positive-core circulation of each vortex, by quadrature on
+    `rule`, from each vortex's own vorticity `own` (n_vortices, P)."""
+    w = rule.weights
     net, core = [], []
     A = family.unpack(q)[0]
-    for a, tangent in zip(A, family.unpack(evaluation.tangents.T)[0].T):
-        omega = a * tangent
+    for a, omega in zip(A, own):
         net.append(float(np.sum(w * omega)))
         core.append(float(np.sum(w * omega * (np.sign(a) * omega > 0))))
     return np.array(net), np.array(core)
@@ -342,13 +345,13 @@ def _run_euler(config, out_dir, files, series, n_vortices, metrics_of):
 
     # exact-Euler reference: velocities of the core vorticity centroids under
     # the full vorticity equation at t = 0, on the window
-    ev0 = model.evaluation(family, q0, rule0)
+    w0, F0, own0 = vortex_window_vorticity(family, q0, rule0, config["nu"])
     cores = core_centroid_velocities(
-        rule0, ev0.field, ev0.F, family.centers(q0), np.sign(family.unpack(q0)[0])
+        rule0, w0, F0, family.centers(q0), np.sign(family.unpack(q0)[0])
     )
     # the Gaussian stream function makes each vortex shielded: its net
     # circulation integrates to zero, its sign-definite core's does not
-    net, core = _vortex_circulations(family, q0, ev0)
+    net, core = _vortex_circulations(family, q0, rule0, own0)
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     files["trajectory"] = "trajectory.csv"
@@ -876,10 +879,26 @@ def _summary_schema() -> dict:
         return json.load(fh)
 
 
-def validate_summary(summary: dict) -> None:
+@lru_cache(maxsize=1)
+def _summary_validator():
+    """The validator of the packaged schema, with the schema checked: built
+    once per process, as `jsonschema.validate` would build it per call."""
     import jsonschema
 
-    jsonschema.validate(summary, _summary_schema())
+    schema = _summary_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_summary(summary: dict) -> None:
+    """Raise the error `jsonschema.validate` raises (its best match) if
+    `summary` does not follow the packaged schema."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_summary_validator().iter_errors(summary))
+    if error is not None:
+        raise error
 
 
 def run(config: dict, out_dir: str | os.PathLike | None = None) -> RunRecord:

@@ -411,7 +411,11 @@ class _Recorder:
     state, so the reduced system assembled last (`system`, set by the
     integrator's right-hand side) is the one at that state.  A step the
     stride skips is held, with its system, until the next accepted step,
-    and `build` records it if it was the last.
+    and `build` records it if it was the last.  The recorder is the one
+    reader of ||F||^2 (J_raw, and J from exact integrals): `residual` asks
+    the system's bundle for it at each recorded state only, which for the
+    exact vortex projection is one more kernel pass, on the link-pair
+    products alone.
     """
 
     def __init__(self, family, quantities, track, config):

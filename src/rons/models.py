@@ -7,13 +7,16 @@ while the evolved field is the vorticity w = -lap psi, so the model supplies
 both the field and its parameter tangents derived from psi.
 
 `PdeModel.projection` is the one pass per parameter state: it returns the
-metric tensor M_ij = <T_i, T_j>, the forcing f_i = <T_i, F>, the gradients
-of the conserved quantities and ||F||^2, and the bundle they were read
+metric tensor M_ij = <T_i, T_j>, the forcing f_i = <T_i, F> and the
+gradients of the conserved quantities, and the bundle they were read
 from, which the engine, the constraint solve and the integrator's recorder
-all share.  By default it contracts the node bundle of
-`PdeModel.evaluation` with the weights of the quadrature rule it is given.
-Two projections integrate over the whole domain instead and ignore the
-rule; their bundles have `rule = None`:
+all share.  The solve reads nothing else, so ||F||^2 is not part of the
+pass: the bundle computes it when asked (`F_norm_sq()`), which only
+`engine.residual` does, at the states the recorder writes.  By default
+the projection contracts the node bundle of `PdeModel.evaluation` with the
+weights of the quadrature rule it is given.  Two projections integrate
+over the whole domain instead and ignore the rule; their bundles have
+`rule = None`:
 
 - the Schroedinger model on the Gaussian wave packet, in closed form
   (`wave_packet_integrals`): every integrand is a Gaussian moment;
@@ -23,6 +26,8 @@ rule; their bundles have `rule = None`:
   on that product integrates it exactly.  Every Gaussian derivative
   factors into an x part and a y part, so each integral is a sum of
   products of two 1-D sums, built from per-axis tables of the vortices.
+  The pass builds the ordered-pair and triple products, and M exactly
+  symmetric; the link-pair products of ||F||^2 are built by `F_norm_sq`.
 
 The vorticity model's `evaluation` on a rule remains the node bundle for
 field snapshots, the t = 0 core-centroid oracle and the quadrature
@@ -66,6 +71,7 @@ __all__ = [
     "vorticity",
     "vortex_integrals",
     "vortex_window_fields",
+    "vortex_window_vorticity",
     "wave_packet_integrals",
     "nlse_invariants",
     "euler_invariants",
@@ -93,6 +99,10 @@ class ModelEvaluation:
     psi_x_tangents: np.ndarray | None = None   # (n, P)
     psi_y_tangents: np.ndarray | None = None   # (n, P)
 
+    def F_norm_sq(self) -> float:
+        """||F||^2 by the weighted sum of the rule over the nodes."""
+        return float(np.sum(self.rule.weights * np.abs(self.F) ** 2))
+
 
 @dataclass(frozen=True, eq=False)
 class Projection:
@@ -100,22 +110,24 @@ class Projection:
 
     B holds one column per quantity passed to `PdeModel.projection`, in
     order; `evaluation` is the bundle the quantities read: a
-    ModelEvaluation, or VortexIntegrals for the exact vorticity projection.
+    ModelEvaluation, WavePacketIntegrals for the closed-form packet, or
+    VortexIntegrals for the exact vorticity projection.  ||F||^2 is not
+    here: every bundle computes it on demand (`evaluation.F_norm_sq()`),
+    for `engine.residual`.
     """
 
     M: np.ndarray            # (n, n)  <T_i, T_j>
     f: np.ndarray            # (n,)    <T_i, F>
     B: np.ndarray            # (n, m)  grad I_k
-    F_norm_sq: float         # ||F||^2
     evaluation: object
 
 
-def _project(family, q, evaluation, quantities, M, f, F_norm_sq) -> Projection:
+def _project(family, q, evaluation, quantities, M, f) -> Projection:
     """The Projection with the quantities' gradients read from `evaluation`."""
     B = np.zeros((len(q), len(quantities)))
     for k, qt in enumerate(quantities):
         B[:, k] = qt.gradient(family, q, evaluation)
-    return Projection(M, f, B, F_norm_sq, evaluation)
+    return Projection(M, f, B, evaluation)
 
 
 class PdeModel:
@@ -137,11 +149,10 @@ class PdeModel:
     def projection(
         self, family: AnsatzFamily, q, rule: QuadratureRule, quantities=()
     ) -> Projection:
-        """M, f, the quantities' gradients and ||F||^2 at q, by the weighted
-        sums of the rule over the nodes of `evaluation`."""
+        """M, f and the quantities' gradients at q, by the weighted sums of
+        the rule over the nodes of `evaluation`."""
         ev = self.evaluation(family, q, rule)
-        w = rule.weights
-        Tw = ev.tangents * w
+        Tw = ev.tangents * rule.weights
         return _project(
             family,
             q,
@@ -149,7 +160,6 @@ class PdeModel:
             quantities,
             M=np.real(Tw @ ev.tangents.conj().T),
             f=np.real(Tw @ np.conj(ev.F)),
-            F_norm_sq=float(np.sum(w * np.abs(ev.F) ** 2)),
         )
 
     #: conserved quantities this model can enforce (may be empty)
@@ -256,20 +266,59 @@ class WavePacketEnergy(ConservedQuantity):
         return np.array([dA, dL, dV, 0.0])
 
 
+class _PacketMoments(NamedTuple):
+    """A^2, the coefficients g0 and g1 of F, and the Gaussian moments of
+    one wave-packet state (`wave_packet_integrals`)."""
+
+    A2: float
+    g0: complex
+    g1: complex
+    mu: tuple       # mu_0, mu_1, mu_2
+    nu: tuple       # nu_0, nu_1
+    rho0: float
+
+
+def _packet_moments(q) -> _PacketMoments:
+    A, L, V, _ = q
+    beta = 1.0 / L**2 - 1j * V / L
+    mu0 = L * np.sqrt(np.pi / 2.0)
+    nu0 = L * np.sqrt(np.pi) / 2.0
+    return _PacketMoments(
+        A2=A * A,
+        g0=-2j * beta,
+        g1=4j * beta**2,
+        mu=(mu0, mu0 * L**2 / 4.0, 3.0 * mu0 * L**4 / 16.0),
+        nu=(nu0, nu0 * L**2 / 8.0),
+        rho0=L * np.sqrt(np.pi / 6.0),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class WavePacketIntegrals:
-    """Exact whole-line inner products of one Gaussian wave-packet state."""
+    """Exact whole-line inner products of one Gaussian wave-packet state;
+    ||F||^2 in closed form on demand."""
 
     rule = None                      # whole line: no quadrature rule
 
     M: np.ndarray                    # (4, 4) <T_i, T_j>
     f: np.ndarray                    # (4,)   <T_i, F>
-    F_norm_sq: float                 # ||F||^2
+    q: np.ndarray                    # (4,)   the state
+
+    def F_norm_sq(self) -> float:
+        """||F||^2 from the moments of `wave_packet_integrals`."""
+        m = _packet_moments(self.q)
+        (mu0, mu1, mu2), (nu0, nu1) = m.mu, m.nu
+        g0, g1, A2 = m.g0, m.g1, m.A2
+        return float(
+            A2 * (abs(g0) ** 2 * mu0 + 2.0 * np.real(g0 * np.conj(g1)) * mu1 + abs(g1) ** 2 * mu2)
+            + 2.0 * A2**2 * np.imag(g0 * nu0 + g1 * nu1)
+            + A2**3 * m.rho0
+        )
 
 
 def wave_packet_integrals(q) -> WavePacketIntegrals:
-    """M, f and ||F||^2 of u_t = i u_xx + i |u|^2 u on the Gaussian packet,
-    integrated over the whole line in closed form.
+    """M and f of u_t = i u_xx + i |u|^2 u on the Gaussian packet,
+    integrated over the whole line in closed form, and ||F||^2 on demand.
 
     With u = A exp(-beta x^2 + i phi) and beta = 1/L^2 - i V/L, the tangents
     are T_k = u (a_k + b_k x^2) (`GaussianWavePacket.tangent_coefficients`)
@@ -278,16 +327,10 @@ def wave_packet_integrals(q) -> WavePacketIntegrals:
     moments mu_m = int x^{2m} e^{-2x^2/L^2}, nu_m = int x^{2m} e^{-4x^2/L^2}
     and rho_0 = int e^{-6x^2/L^2}.
     """
-    A, L, V, _ = q
-    beta = 1.0 / L**2 - 1j * V / L
     a, b = GaussianWavePacket.tangent_coefficients(q)
-    g0, g1 = -2j * beta, 4j * beta**2
-    mu0 = L * np.sqrt(np.pi / 2.0)
-    mu1, mu2 = mu0 * L**2 / 4.0, 3.0 * mu0 * L**4 / 16.0
-    nu0 = L * np.sqrt(np.pi) / 2.0
-    nu1 = nu0 * L**2 / 8.0
-    rho0 = L * np.sqrt(np.pi / 6.0)
-    A2 = A * A
+    m = _packet_moments(q)
+    (mu0, mu1, mu2), (nu0, nu1) = m.mu, m.nu
+    g0, g1, A2 = m.g0, m.g1, m.A2
     ac, bc = a.conj(), b.conj()
     M = A2 * np.real(
         mu0 * np.outer(a, ac) + mu1 * (np.outer(a, bc) + np.outer(b, ac)) + mu2 * np.outer(b, bc)
@@ -296,12 +339,7 @@ def wave_packet_integrals(q) -> WavePacketIntegrals:
     f = A2 * np.real(
         a * np.conj(g0) * mu0 + (a * np.conj(g1) + b * np.conj(g0)) * mu1 + b * np.conj(g1) * mu2
     ) + A2**2 * np.imag(a * nu0 + b * nu1)
-    F_norm_sq = (
-        A2 * (abs(g0) ** 2 * mu0 + 2.0 * np.real(g0 * np.conj(g1)) * mu1 + abs(g1) ** 2 * mu2)
-        + 2.0 * A2**2 * np.imag(g0 * nu0 + g1 * nu1)
-        + A2**3 * rho0
-    )
-    return WavePacketIntegrals(M=M, f=f, F_norm_sq=float(F_norm_sq))
+    return WavePacketIntegrals(M=M, f=f, q=np.asarray(q, dtype=float))
 
 
 class Nlse(PdeModel):
@@ -323,7 +361,7 @@ class Nlse(PdeModel):
         if not isinstance(family, GaussianWavePacket):
             return super().projection(family, q, rule, quantities)
         ints = wave_packet_integrals(q)
-        return _project(family, q, ints, quantities, ints.M, ints.f, ints.F_norm_sq)
+        return _project(family, q, ints, quantities, ints.M, ints.f)
 
 
 def nlse() -> Nlse:
@@ -461,18 +499,27 @@ def _link_terms():
 _LINK_SIGN, _LINK_J, _LINK_K = _link_terms()
 
 
+# The groups of Gaussian products of the exact vortex integrals, in table
+# order: ordered pairs (i, j), triples (i, {j, k}) and pairs of links
+# {j, k} <= {l, m}.  The projection builds the first two; only ||F||^2
+# reads the link pairs, so `VortexIntegrals.F_norm_sq` builds them alone.
+_GROUPS = ("pairs", "triples", "link pairs")
+_SOLVE_PRODUCTS = _GROUPS[:2]
+_LINK_PAIRS = _GROUPS[2:]
+
+
 @dataclass(frozen=True, eq=False)
 class _ProductSites:
-    """The Gaussian products of the exact vortex integrals of n vortices,
-    K nodes per axis each (pairs, then triples, then quads), and the
-    gathers that contract them.  Vortex v is tabulated in one block of K
-    nodes per membership.  A product's 1-D Grams pair a left and a right
-    operand, each a member's 8 factor rows or a link's 8 terms (a row of j
-    times a row of k): the members of a pair, the first member and the link
-    of a triple, the links of a quad."""
+    """Gaussian products of the exact vortex integrals of n vortices, K
+    nodes per axis each (the chosen groups of `_GROUPS`, in that order),
+    and the gathers that contract them.  Vortex v is tabulated in one block
+    of K nodes per membership.  A product's 1-D Grams pair a left and a
+    right operand, each a member's 8 factor rows or a link's 8 terms (a row
+    of j times a row of k): the members of a pair, the first member and the
+    link of a triple, the links of a link pair."""
 
     links: np.ndarray          # (l, 2) j < k; triples (i, link) run i-major
-    quad_links: tuple          # the two links of each quad, the first <= the second
+    quad_links: tuple          # the two links of each link pair, the first <= the second
     twice: np.ndarray          # (q,) 2 off the diagonal of the link pairs, else 1
     membership: np.ndarray     # (products, n) how often each vortex is a member
     blocks: np.ndarray         # (n, blocks) the product of each block of each vortex
@@ -480,20 +527,23 @@ class _ProductSites:
     right: tuple               # links' j and links' k, each (., 2, K, 8)
     pair: np.ndarray           # flat Gram indices, x then y: (2, TL, n^2, TR)
     triple: np.ndarray         # (2, n l, site terms, link terms)
+    first_link_pair: int       # the product index of the first link pair
 
 
-@lru_cache(maxsize=8)
-def _product_sites(nv: int, K: int) -> _ProductSites:
-    """Index sets and gathers of `nv` vortices with K nodes per axis;
-    cached, as they depend on nothing else."""
+@lru_cache(maxsize=16)
+def _product_sites(nv: int, K: int, groups: tuple) -> _ProductSites:
+    """Index sets and gathers of the product `groups` of `nv` vortices with
+    K nodes per axis; cached, as they depend on nothing else."""
     idx = np.arange(nv)
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
     links = np.array([(j, k) for j in idx for k in idx[j + 1:]], dtype=int).reshape(-1, 2)
     triples = np.column_stack([np.repeat(idx, len(links)), np.tile(links, (nv, 1))])
     a, b = np.triu_indices(len(links))
-    groups = (pairs, triples, np.column_stack([links[a], links[b]]))
-    members = np.concatenate([g.ravel() for g in groups])
-    product = np.repeat(np.arange(sum(map(len, groups))), [g.shape[1] for g in groups for _ in g])
+    every_group = (pairs, triples, np.column_stack([links[a], links[b]]))
+    # a group left out keeps its columns with no rows
+    chosen = [g if name in groups else g[:0] for name, g in zip(_GROUPS, every_group)]
+    members = np.concatenate([g.ravel() for g in chosen])
+    product = np.repeat(np.arange(sum(map(len, chosen))), [g.shape[1] for g in chosen for _ in g])
     membership = np.zeros((product[-1] + 1, nv))
     np.add.at(membership, (product, members), 1.0)
     # each membership's block (every vortex has as many), and where it
@@ -502,8 +552,8 @@ def _product_sites(nv: int, K: int) -> _ProductSites:
     block = np.empty_like(members)
     block[order] = np.arange(len(members)) % (len(members) // nv)
     width = len(members) // nv * K
-    start = np.split(members * width + block * K, np.cumsum([g.size for g in groups])[:-1])
-    s2, s3, s4 = (st.reshape(g.shape).T for st, g in zip(start, groups))
+    start = np.split(members * width + block * K, np.cumsum([g.size for g in chosen])[:-1])
+    s2, s3, s4 = (st.reshape(g.shape).T for st, g in zip(start, chosen))
 
     def rows(at, basis):
         """Table indices of the (2, 8) rows `basis` at the offsets `at`."""
@@ -515,7 +565,8 @@ def _product_sites(nv: int, K: int) -> _ProductSites:
         return np.stack([((p * 2 + ax) * 8 + r) * 8 + c for ax, r, c in zip((0, 1), row, column)])
 
     every = np.tile(np.arange(8), (2, 1))
-    at2, at3 = np.arange(len(pairs))[:, None], len(pairs) + np.arange(len(triples))[:, None, None]
+    n2, n3 = len(chosen[0]), len(chosen[1])
+    at2, at3 = np.arange(n2)[:, None], n2 + np.arange(n3)[:, None, None]
     return _ProductSites(
         links=links,
         quad_links=(a, b),
@@ -527,22 +578,40 @@ def _product_sites(nv: int, K: int) -> _ProductSites:
         pair=gram(at2, (_PAIR_LEFT.fx[:, None, None], _PAIR_LEFT.fy[:, None, None]),
                   (_PAIR_RIGHT.fx, _PAIR_RIGHT.fy)),
         triple=gram(at3, (_TRIPLE_SITE.fx[:, None], _TRIPLE_SITE.fy[:, None]), every),
+        first_link_pair=n2 + n3,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class VortexIntegrals:
-    """Exact whole-plane inner products of one vortex state."""
+    """Exact whole-plane inner products of one vortex state, from the
+    ordered-pair and triple products.  M is exactly symmetric.  ||F||^2
+    needs the link-pair products as well, which `F_norm_sq` builds when
+    asked, with the two nu-terms stored here."""
 
     rule = None                      # whole plane: no quadrature rule
 
     M: np.ndarray                    # (n, n) <T_i, T_j> of the vorticity tangents
     f: np.ndarray                    # (n,)   <T_i, F>
-    F_norm_sq: float                 # ||F||^2
     energy: float                    # 1/2 ||u||^2
     enstrophy: float                 # 1/2 ||w||^2
     energy_gradient: np.ndarray      # (n,)
     enstrophy_gradient: np.ndarray   # (n,)
+    family: VortexStreamFunction
+    q: np.ndarray                    # (n,)   the state
+    nodes: int                       # Gauss-Hermite nodes per axis
+    viscous: tuple                   # -2 nu <lap w, u . grad w>, nu^2 ||lap w||^2; () at nu = 0
+
+    def F_norm_sq(self) -> float:
+        """||F||^2 = ||u . grad w||^2, the link-pair products, plus the
+        nu-terms: one more `axis_factors` call, on the nodes of the link
+        pairs alone."""
+        sites = _product_sites(self.family.n_vortices, self.nodes, _LINK_PAIRS)
+        A = self.family.unpack(self.q)[0]
+        total = _link_pair_sum(_grams(self.family, self.q, sites, self.nodes), sites, A)
+        for term in self.viscous:
+            total += term
+        return total
 
 
 def _operand(table, members, j, k):
@@ -553,10 +622,42 @@ def _operand(table, members, j, k):
     return out
 
 
+def _grams(family, q, sites, nodes) -> np.ndarray:
+    """The flat 1-D Grams (products, 2, 8, 8), x then y, of the products of
+    `sites`, from one `family.axis_factors` call on their nodes.
+
+    The product of a product's Gaussians is one Gaussian, with precision
+    p = sum 1/L_m^2 and centre c = sum (x_m / L_m^2) / p; per axis its
+    nodes are x = c + z / sqrt(p), and dx = dz / sqrt(p)."""
+    nv = family.n_vortices
+    _, L, _, _ = family.unpack(q)
+    z, wz = _hermite_rule(nodes)
+    prec = 1.0 / (L * L)
+    p = sites.membership @ prec
+    c = sites.membership @ (family.centers(q) * prec[:, None]) / p[:, None]
+    root = np.sqrt(p)
+    points = (c.T[:, sites.blocks, None] + z / root[sites.blocks, None]).reshape(2, nv, -1)
+    table = family.axis_factors(points, q).ravel()
+    lhs = _operand(table, *sites.left) * (wz / root[:, None])[:, None, :, None]
+    return (lhs.swapaxes(-1, -2) @ _operand(table, *sites.right)).ravel()
+
+
+def _link_pair_sum(gram, sites, A) -> float:
+    """||u . grad w||^2 = sum over link pairs {j, k} <= {l, m} of
+    <s_jk, s_lm>, off-diagonal pairs twice, from the Grams of `sites`."""
+    link_terms, link_A = len(_LINK_SIGN), A[sites.links[:, 0]] * A[sites.links[:, 1]]
+    quads = gram.reshape(-1, 2, link_terms, link_terms)[sites.first_link_pair:]
+    per_quad = (quads[:, 0] * quads[:, 1]).reshape(-1, link_terms) @ _LINK_SIGN
+    per_quad = per_quad.reshape(-1, link_terms) @ _LINK_SIGN
+    a, b = sites.quad_links
+    return float(per_quad @ (sites.twice * link_A[a] * link_A[b]))
+
+
 def vortex_integrals(
     family: VortexStreamFunction, q, nu: float, nodes: int = PRODUCT_NODES
 ) -> VortexIntegrals:
-    """M, f, ||F||^2 and the fluid invariants with their gradients, exactly.
+    """M, f and the fluid invariants with their gradients, exactly, and
+    what ||F||^2 needs beyond the link-pair products.
 
     Vortex v contributes psi_v = A_v G_v, and every integrand is a sum of
     terms each of which involves a few vortices.  The product of their
@@ -568,27 +669,26 @@ def vortex_integrals(
     integral is a sum over term pairs of (x-sum) * (y-sum):
 
     - ordered pairs (i, j): the blocks M_ij, the gradients of energy and
-      enstrophy, the viscous forcing nu <T_i, lap w_j> and nu^2 <lap w_i, lap w_j>;
+      enstrophy, the viscous forcing nu <T_i, lap w_j> and the nu^2
+      <lap w_i, lap w_j> term of ||F||^2;
     - triples (i, {j, k}) with j < k: the forcing -<T_i, s_jk> and the
       cross term -2 nu <lap w_i, s_jk> of ||F||^2, where
       s_jk = u_j . grad w_k + u_k . grad w_j (a single vortex does not
-      advect itself, so u . grad w = sum over j < k of s_jk);
-    - pairs of links {j, k} <= {l, m}: <s_jk, s_lm> of ||F||^2.
+      advect itself, so u . grad w = sum over j < k of s_jk).
+
+    The pairs of links {j, k} <= {l, m}, <s_jk, s_lm>, make up the rest of
+    ||F||^2; `VortexIntegrals.F_norm_sq` builds them on demand.  M is
+    returned as 0.5 (M + M^T), symmetric bit for bit.
     """
+    sites = _product_sites(family.n_vortices, nodes, _SOLVE_PRODUCTS)
+    return _solve_integrals(family, q, nu, nodes, sites, _grams(family, q, sites, nodes))
+
+
+def _solve_integrals(family, q, nu, nodes, sites, gram) -> VortexIntegrals:
+    """The pair and triple contractions of `vortex_integrals` on the Grams
+    of `sites`."""
     nv = family.n_vortices
-    sites = _product_sites(nv, nodes)
     A, L, _, _ = family.unpack(q)
-    z, wz = _hermite_rule(nodes)
-    # precision p = sum 1/L_m^2 and centre c = sum (x_m / L_m^2) / p of each
-    # product; per axis x = c + z / sqrt(p) and dx = dz / sqrt(p)
-    prec = 1.0 / (L * L)
-    p = sites.membership @ prec
-    c = sites.membership @ (family.centers(q) * prec[:, None]) / p[:, None]
-    root = np.sqrt(p)
-    points = (c.T[:, sites.blocks, None] + z / root[sites.blocks, None]).reshape(2, nv, -1)
-    table = family.axis_factors(points, q).ravel()
-    lhs = _operand(table, *sites.left) * (wz / root[:, None])[:, None, :, None]
-    gram = (lhs.swapaxes(-1, -2) @ _operand(table, *sites.right)).ravel()
     coefficients = np.array([np.ones(nv), A, A / L])
 
     # ordered pairs: the Grams, read once for every term pair, give
@@ -616,26 +716,22 @@ def vortex_integrals(
     s3 *= coefficients[site.coefficient].T                         # (nv, 5) <rows_i, s>
     f = -s3[:, :4].ravel()
 
-    # pairs of links, the last products: off-diagonal pairs count twice
-    quads = gram.reshape(-1, 2, link_terms, link_terms)[len(sites.membership) - len(sites.twice):]
-    per_quad = (quads[:, 0] * quads[:, 1]).reshape(-1, link_terms) @ _LINK_SIGN
-    per_quad = per_quad.reshape(-1, link_terms) @ _LINK_SIGN
-    a, b = sites.quad_links
-    F_norm_sq = float(per_quad @ (sites.twice * link_A[a] * link_A[b]))
-
+    viscous = ()
     if nu > 0:
         f = f + nu * out[:4, :, :, 7].sum(axis=2).T.ravel()
-        F_norm_sq += -2.0 * nu * float(s3[:, 4].sum())
-        F_norm_sq += nu**2 * float(out[15, :, :, 7].sum())
+        viscous = (-2.0 * nu * float(s3[:, 4].sum()), nu**2 * float(out[15, :, :, 7].sum()))
 
     return VortexIntegrals(
-        M=M,
+        M=0.5 * (M + M.T),
         f=f,
-        F_norm_sq=F_norm_sq,
         energy=energy,
         enstrophy=enstrophy,
         energy_gradient=energy_gradient,
         enstrophy_gradient=enstrophy_gradient,
+        family=family,
+        q=np.asarray(q, dtype=float),
+        nodes=nodes,
+        viscous=viscous,
     )
 
 
@@ -713,10 +809,33 @@ def _on_grid(grid: _Grid, rows, each_vortex: bool = False) -> np.ndarray:
     return np.matmul(np.ascontiguousarray(left), np.ascontiguousarray(right)).reshape(-1, nx * ny)
 
 
+def _window_flow(grid: _Grid, nu: float):
+    """psi_x, psi_y, w and F = -u . grad w + nu lap w on the grid, with
+    u = (psi_y, -psi_x)."""
+    psi_x, psi_y, w, w_x, w_y, *lap_w = _on_grid(
+        grid, _VISCOUS_VALUES if nu > 0 else _INVISCID_VALUES
+    )
+    F = psi_x * w_y - psi_y * w_x
+    if nu > 0:
+        F += nu * lap_w[0]
+    return psi_x, psi_y, w, F
+
+
 def vortex_window_fields(family, q, rule) -> tuple[np.ndarray, np.ndarray]:
     """psi and w = -lap psi at the nodes of a box rule."""
     psi, w = _on_grid(_grid(family, q, rule), _value(_PSI) + _value(_W))
     return psi, w
+
+
+def vortex_window_vorticity(family, q, rule, nu: float):
+    """w, F = w_t of the vorticity equation with viscosity nu, and each
+    vortex's own vorticity A_v dw/dA_v, (n_vortices, P), at the nodes of a
+    box rule: the tables of `Vorticity.evaluation` that a vorticity
+    snapshot needs, without the three (n, P) tangent tables."""
+    grid = _grid(family, q, rule)
+    _, _, w, F = _window_flow(grid, nu)
+    along_A = _on_grid(grid, _tangents(_W)[:1], each_vortex=True)
+    return w, F, grid.coefficients[1][:, None] * along_A
 
 
 class Vorticity(PdeModel):
@@ -741,12 +860,7 @@ class Vorticity(PdeModel):
         axes: the fields and their tangents are `_on_grid` tables of the
         declarations the exact projection reads."""
         grid = _grid(family, q, rule)
-        psi_x, psi_y, w, w_x, w_y, *lap_w = _on_grid(
-            grid, _VISCOUS_VALUES if self.nu > 0 else _INVISCID_VALUES
-        )
-        F = psi_x * w_y - psi_y * w_x      # -u . grad w with u = (psi_y, -psi_x)
-        if self.nu > 0:
-            F += self.nu * lap_w[0]
+        psi_x, psi_y, w, F = _window_flow(grid, self.nu)
         return ModelEvaluation(
             field=w,
             tangents=_on_grid(grid, _tangents(_W), each_vortex=True),
@@ -762,7 +876,7 @@ class Vorticity(PdeModel):
         if not self.exact:
             return super().projection(family, q, rule, quantities)
         ints = vortex_integrals(_require_stream_family(family), q, self.nu)
-        return _project(family, q, ints, quantities, ints.M, ints.f, ints.F_norm_sq)
+        return _project(family, q, ints, quantities, ints.M, ints.f)
 
 
 def vorticity(nu: float, exact: bool = False) -> Vorticity:

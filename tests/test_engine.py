@@ -227,7 +227,7 @@ class _Corrupted(PdeModel):
         proj = self.base.projection(family, q, rule, quantities)
         parts = {"M": proj.M.copy(), "f": proj.f.copy(), "B": proj.B.copy()}
         parts[self.where].flat[0] = self.value
-        return Projection(parts["M"], parts["f"], parts["B"], proj.F_norm_sq, proj.evaluation)
+        return Projection(parts["M"], parts["f"], parts["B"], proj.evaluation)
 
 
 @pytest.mark.parametrize(
@@ -463,8 +463,8 @@ def test_constrained_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
 
 
 def test_exact_leapfrog_assemble_is_one_kernel_pass(monkeypatch):
-    # the pair, triple and link-pair products of M, f, ||F||^2 and both
-    # gradients share one build of the per-axis tables, and the
-    # scattered-point tables are not built
+    # the pair and triple products of M, f and both gradients share one
+    # build of the per-axis tables, and the scattered-point tables are not
+    # built; the link-pair products of ||F||^2 are not built at all
     calls = _leapfrog_kernel_calls(monkeypatch, vorticity(0.0, exact=True))
     assert calls == {"terms": 0, "axis_factors": 1}

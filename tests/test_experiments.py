@@ -1,6 +1,9 @@
+import copy
 import csv
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -271,6 +274,30 @@ def test_run_writes_expected_files(quick_advdiff):
     validate_summary(summary)
     assert summary["experiment"] == "advdiff-exact"
     assert summary["status"] == "ok"
+
+
+def test_validate_summary_raises_what_jsonschema_validate_raises(quick_advdiff):
+    # the validator is built once per process; each broken summary still
+    # raises the best-match error of a fresh `jsonschema.validate`
+    with open(quick_advdiff.summary_path) as fh:
+        summary = json.load(fh)
+    schema = json.loads(resources.files("rons").joinpath("summary_schema.json").read_text())
+    breaks = (
+        lambda s: s.pop("status"),
+        lambda s: s.update(status="done"),
+        lambda s: s.update(wall_time_s="slow"),
+        lambda s: (s.pop("files"), s.update(status=3)),
+    )
+    for brk in breaks:
+        broken = copy.deepcopy(summary)
+        brk(broken)
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_summary(broken)
+        with pytest.raises(jsonschema.ValidationError) as theirs:
+            jsonschema.validate(broken, schema)
+        assert (ours.value.message, list(ours.value.path)) == (
+            theirs.value.message, list(theirs.value.path)
+        )
 
 
 def test_trajectory_csv_schema(quick_advdiff):

@@ -17,7 +17,17 @@ from rons.integrate import (
     solve_adaptive_rk45,
     solve_fixed_rk4,
 )
-from rons.models import ConservedQuantity, PdeModel, advection_diffusion, nlse, vorticity
+from rons.models import (
+    _LINK_PAIRS,
+    _SOLVE_PRODUCTS,
+    PRODUCT_NODES,
+    ConservedQuantity,
+    PdeModel,
+    _product_sites,
+    advection_diffusion,
+    nlse,
+    vorticity,
+)
 from rons.oracles import exact_advdiff
 
 
@@ -310,17 +320,19 @@ def test_rk45_leapfrog_prefix_rejects_almost_no_steps(assembled_states):
 @pytest.mark.parametrize("exact", [False, True], ids=["quadrature", "exact"])
 def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     # the recorder reads the invariants from the assembled system's bundle,
-    # so each assemble is the only Gaussian-kernel pass of its state: one
-    # build of the per-axis tables `axis_factors`, on the window's axes for
-    # the quadrature projection and on the Gauss-Hermite nodes for the
-    # exact one
+    # so it adds no kernel pass for them: each assemble builds the per-axis
+    # tables `axis_factors` once, on the window's axes for the quadrature
+    # projection and on the Gauss-Hermite nodes for the exact one.  Only
+    # the recorder reads ||F||^2: on a rule it is a sum over the bundle's F,
+    # while the exact bundle builds its link-pair products then, one more
+    # call per recorded state on the link-pair nodes alone
     module = importlib.import_module("rons.integrate")
     kernel, original = VortexStreamFunction.axis_factors, module.assemble
-    kernel_calls, assembles = [], []
+    widths, assembles = [], []
 
-    def counted_kernel(self, *args):
-        kernel_calls.append(1)
-        return kernel(self, *args)
+    def counted_kernel(self, points, *args):
+        widths.append(np.shape(points)[-1])
+        return kernel(self, points, *args)
 
     def counted_assemble(*args, **kwargs):
         assembles.append(1)
@@ -337,7 +349,16 @@ def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     )
     assert traj.diagnostics["invariants"].shape == (len(traj), 2)
     assert len(assembles) > len(traj)
-    assert len(kernel_calls) == len(assembles)
+    if not exact:
+        assert len(widths) == len(assembles)
+        return
+    solve, link_pairs = (
+        _product_sites(2, PRODUCT_NODES, groups).blocks.shape[1] * PRODUCT_NODES
+        for groups in (_SOLVE_PRODUCTS, _LINK_PAIRS)
+    )
+    assert len(widths) == len(assembles) + len(traj)
+    assert widths.count(solve) == len(assembles)
+    assert widths.count(link_pairs) == len(traj)
 
 
 class _VortexX(ConservedQuantity):

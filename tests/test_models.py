@@ -11,10 +11,16 @@ from rons.ansatz import (
     VortexStreamFunction,
     fourier_modes,
 )
+from rons.engine import _symmetrize
 from rons.hilbert import QuadratureRule, box_rule, make_rule, periodic_interval, plane, real_line
 from rons.models import (
+    _GROUPS,
     PRODUCT_NODES,
     PdeModel,
+    _grams,
+    _link_pair_sum,
+    _product_sites,
+    _solve_integrals,
     advection_diffusion,
     euler_invariants,
     nlse,
@@ -375,7 +381,7 @@ def _integrals(fam, q, model, rule):
     return {
         "M": proj.M,
         "f": proj.f,
-        "F_norm_sq": proj.F_norm_sq,
+        "F_norm_sq": proj.evaluation.F_norm_sq(),
         "energy": ke.value_at(fam, q, proj.evaluation),
         "enstrophy": ens.value_at(fam, q, proj.evaluation),
         "energy_gradient": proj.B[:, 0],
@@ -441,7 +447,7 @@ def test_wave_packet_integrals_match_quadrature(A, L, V, phi):
     assert exact.evaluation.rule is None
     assert _rel_gap(exact.M, ref.M) <= 1e-12
     assert _rel_gap(exact.f, ref.f) <= 1e-12
-    assert _rel_gap(exact.F_norm_sq, ref.F_norm_sq) <= 1e-12
+    assert _rel_gap(exact.evaluation.F_norm_sq(), ref.evaluation.F_norm_sq()) <= 1e-12
     assert np.array_equal(exact.B, ref.B)
 
 
@@ -456,6 +462,66 @@ def test_vortex_integrals_node_count_converged(case):
         vortex_integrals(fam, q, nu, nodes=k) for k in (PRODUCT_NODES, 10, PRODUCT_NODES - 1)
     )
     names = ("M", "f", "F_norm_sq", "energy", "enstrophy", "energy_gradient", "enstrophy_gradient")
+    exact, ten, fewer = (
+        {**vars(ints), "F_norm_sq": ints.F_norm_sq()} for ints in (exact, ten, fewer)
+    )
     for name in names:
-        assert _rel_gap(getattr(exact, name), getattr(ten, name)) <= 1e-13, name
-    assert max(_rel_gap(getattr(fewer, name), getattr(ten, name)) for name in names) > 1e-6
+        assert _rel_gap(exact[name], ten[name]) <= 1e-13, name
+    assert max(_rel_gap(fewer[name], ten[name]) for name in names) > 1e-6
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.05])
+@pytest.mark.parametrize("n_vortices", [2, 4])
+def test_vortex_solve_pass_equals_a_full_pass(n_vortices, nu):
+    # the projection builds only the pair and triple products; one table of
+    # every product, link pairs included, as one pass builds them, gives the
+    # same M, f, gradients and invariants bit for bit, and its link pairs
+    # the same ||F||^2; 10 seeded states per case
+    fam, model = VortexStreamFunction(n_vortices), vorticity(nu, exact=True)
+    ke, ens = euler_invariants()
+    sites = _product_sites(n_vortices, PRODUCT_NODES, _GROUPS)
+    rng = np.random.default_rng(n_vortices)
+    for _ in range(10):
+        q = np.column_stack([
+            rng.choice([-1.0, 1.0], n_vortices) * rng.uniform(0.5, 1.5, n_vortices),
+            rng.uniform(0.5, 1.0, n_vortices),
+            rng.uniform(-1.5, 1.5, (n_vortices, 2)),
+        ]).ravel()
+        gram = _grams(fam, q, sites, PRODUCT_NODES)
+        full = _solve_integrals(fam, q, nu, PRODUCT_NODES, sites, gram)
+        proj = model.projection(fam, q, None, (ke, ens))
+        assert np.array_equal(proj.M, full.M)
+        assert np.array_equal(proj.f, full.f)
+        assert np.array_equal(proj.B[:, 0], full.energy_gradient)
+        assert np.array_equal(proj.B[:, 1], full.enstrophy_gradient)
+        assert ke.value_at(fam, q, proj.evaluation) == full.energy
+        assert ens.value_at(fam, q, proj.evaluation) == full.enstrophy
+        F_norm_sq = _link_pair_sum(gram, sites, fam.unpack(q)[0])
+        for term in full.viscous:
+            F_norm_sq += term
+        assert proj.evaluation.F_norm_sq() == F_norm_sq
+
+
+# four vortices (A, L, x, y each) at distinct centres; the first two alone
+# are a 2-vortex state
+_FOUR_VORTICES = np.array(
+    [1.0, 0.8, -0.6, 0.2, -1.2, 0.6, 0.7, -0.3, 0.9, 0.7, 0.1, 1.1, -0.8, 0.9, 0.4, -1.0]
+)
+
+
+@pytest.mark.parametrize("n_vortices", [2, 4])
+def test_exact_vortex_M_is_symmetric_bit_for_bit(n_vortices):
+    fam = VortexStreamFunction(n_vortices)
+    M = vortex_integrals(fam, _FOUR_VORTICES[: fam.n], 0.05).M
+    assert (M == M.T).all()
+    assert _symmetrize(M) is M
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.05])
+def test_vortex_F_norm_sq_on_demand_matches_quadrature(nu):
+    # the link-pair products built on demand plus the stored nu-terms
+    # against the 256^2 Gauss-Legendre window
+    fam, q = VortexStreamFunction(4), _FOUR_VORTICES
+    exact = vortex_integrals(fam, q, nu)
+    assert len(exact.viscous) == (2 if nu > 0 else 0)
+    assert _rel_gap(exact.F_norm_sq(), _quadrature_reference(fam, q, nu)["F_norm_sq"]) <= 1e-12
