@@ -158,11 +158,9 @@ class RunRecord:
 
 # the experiments that integrate the reduced dynamics and write snapshots
 _INTEGRATION_DEFAULTS = {
-    "scheme": "rk45",
     "dt": None,
     "rtol": 1e-8,
     "atol": 1e-10,
-    "stride": 1,
     "snapshots": 5,
 }
 
@@ -183,11 +181,9 @@ def _window_rule(family: VortexStreamFunction, q, pad: float, resolution: int):
 def _integrator_config(config: dict) -> IntegratorConfig:
     return IntegratorConfig(
         t_end=config["t_end"],
-        scheme=config["scheme"],
         dt=config["dt"],
         rtol=config["rtol"],
         atol=config["atol"],
-        stride=config["stride"],
     )
 
 
@@ -508,6 +504,8 @@ def _run_instability(config, out_dir, files, series):
     metrics = {"lambdas": lams}
     tables = []
     growth, growth_seeded, decay = [], [], []
+    family = LinearModes(fourier_modes(2 * np.pi, 1))
+    rule = make_rule(periodic_interval(2 * np.pi), 64)
     for lam in lams:
         t_end = config["t_horizon_over_lambda"] / lam
         # generic initial data: both exponential branches populated
@@ -517,9 +515,7 @@ def _run_instability(config, out_dir, files, series):
         res_seeded = finite_time_instability([lam], [1.0], [-lam], t_end)
         growth_seeded.append(float(res_seeded.fitted_rates[0]))
         # first-order reduced dynamics on the same eigenmode decays
-        family = LinearModes(fourier_modes(2 * np.pi, 1))
         model = advection_diffusion(0.0, lam)  # eigenvalue of sin(x) is lam
-        rule = make_rule(periodic_interval(2 * np.pi), 64)
         traj = integrate(
             family,
             model,
@@ -856,8 +852,8 @@ def resolve_config(config: dict) -> dict:
                 f"n_modes {resolved['n_modes']} reaches wavenumber {top}, which "
                 f"needs resolution > {2 * top}, not {resolved['resolution']}"
             )
-    if "scheme" in resolved:
-        _integrator_config(resolved)    # scheme, dt and stride, as the run uses them
+    if "dt" in resolved:
+        _integrator_config(resolved)    # dt, as the run uses it
     return resolved
 
 

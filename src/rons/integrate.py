@@ -1,11 +1,13 @@
 """Time integration of the reduced parameter ODE with dense diagnostics.
 
-Two schemes: classical fixed-step RK4 and an adaptive Dormand-Prince 5(4)
-pair.  The adaptive driver sets each step from the error estimate of the
-last one and, once two steps are accepted, from the trend of their errors
-(predictive step control), so a steadily growing error shortens the step
-before it is rejected.  It doubles as a general-purpose ODE solver for the
-reference oracles (point vortices, the second-order instability demo).
+The reduced ODE is integrated by an adaptive Dormand-Prince 5(4) pair,
+which sets each step from the error estimate of the last one and, once two
+steps are accepted, from the trend of their errors (predictive step
+control), so a steadily growing error shortens the step before it is
+rejected.  It doubles as a general-purpose ODE solver for the reference
+oracles (point vortices, the second-order instability demo).
+`solve_fixed_rk4` is a classical fixed-step RK4 stepper, which `integrate`
+does not use.
 
 When integrating reduced dynamics, trial stages can graze the boundary of
 the admissible parameter set (for instance L passing through 0); such steps
@@ -44,29 +46,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Scheme selection and tolerances for one reduced-ODE run."""
+    """Horizon, step cap and tolerances of one DP5(4) reduced-ODE run."""
 
     t_end: float
-    scheme: str = "rk45"          # "rk45" (adaptive) or "rk4" (fixed step)
-    dt: float | None = None       # required for rk4; max step hint for rk45
+    dt: float | None = None       # largest step; None: no cap
     rtol: float = 1e-8
     atol: float = 1e-10
-    stride: int = 1               # record every stride-th accepted step and the last
     max_domain_retries: int = 20
 
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.scheme not in ("rk45", "rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "rk4" and self.dt is None:
-            raise ValueError("rk4 needs a positive dt")
         if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive (None: no step cap for rk45)")
+            raise ValueError("dt must be positive (None: no step cap)")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 @dataclass(eq=False)
@@ -353,7 +347,7 @@ def integrate(
 
     q0 = family.require_valid(q0)
 
-    recorder = _Recorder(family, quantities, track_quantities, config)
+    recorder = _Recorder(family, quantities, track_quantities)
 
     def rhs(_t, y):
         recorder.system = None  # release the previous state's tables first
@@ -364,22 +358,17 @@ def integrate(
         return reduced_rhs(recorder.system)
 
     try:
-        if config.scheme == "rk4":
-            solve_fixed_rk4(
-                rhs, 0.0, q0, config.t_end, config.dt, step_callback=recorder
-            )
-        else:
-            solve_adaptive_rk45(
-                rhs,
-                0.0,
-                q0,
-                config.t_end,
-                rtol=config.rtol,
-                atol=config.atol,
-                max_step=np.inf if config.dt is None else config.dt,
-                max_domain_retries=config.max_domain_retries,
-                step_callback=recorder,
-            )
+        solve_adaptive_rk45(
+            rhs,
+            0.0,
+            q0,
+            config.t_end,
+            rtol=config.rtol,
+            atol=config.atol,
+            max_step=np.inf if config.dt is None else config.dt,
+            max_domain_retries=config.max_domain_retries,
+            step_callback=recorder,
+        )
     except _StageRejected as exc:
         raise IntegrationAbort(
             "step size control could not keep the parameters inside the "
@@ -404,42 +393,28 @@ def integrate(
 
 
 class _Recorder:
-    """Collects states and diagnostics at every stride-th accepted step and
-    at the last one.
+    """Collects states and diagnostics at every accepted step.
 
-    The steppers call back right after the right-hand side at the accepted
+    The stepper calls back right after the right-hand side at the accepted
     state, so the reduced system assembled last (`system`, set by the
-    integrator's right-hand side) is the one at that state.  A step the
-    stride skips is held, with its system, until the next accepted step,
-    and `build` records it if it was the last.  The recorder is the one
-    reader of ||F||^2 (J_raw, and J from exact integrals): `residual` asks
-    the system's bundle for it at each recorded state only, which for the
-    exact vortex projection is one more kernel pass, on the link-pair
-    products alone.
+    integrator's right-hand side) is the one at that state.  The recorder
+    is the one reader of ||F||^2 (J_raw, and J from exact integrals):
+    `residual` asks the system's bundle for it at each recorded state only,
+    which for the exact vortex projection is one more kernel pass, on the
+    link-pair products alone.
     """
 
-    def __init__(self, family, quantities, track, config):
+    def __init__(self, family, quantities, track):
         self.family = family
         self.system = None
         self.quantities = quantities
         self.track = track
-        self.stride = config.stride
-        self.count = 0
         self.times, self.states, self.qdots = [], [], []
         self.J, self.J_raw, self.cond_M, self.cond_C = [], [], [], []
         self.invariants, self.tangency = [], []
-        self.skipped = None
 
     def __call__(self, t, y, ydot):
-        take = (self.count % self.stride) == 0
-        self.count += 1
-        if take:
-            self.skipped = None
-            self._record(t, y, ydot, self.system)
-        else:
-            self.skipped = (t, y, ydot, self.system)
-
-    def _record(self, t, y, ydot, system):
+        system = self.system
         if not np.array_equal(system.q, y):
             raise RuntimeError(
                 f"recorder at t = {t:.6g}: the last assembled system is not "
@@ -461,9 +436,6 @@ class _Recorder:
             self.tangency.append(np.abs(constraint_tangency(system, qdot)))
 
     def build(self) -> Trajectory:
-        if self.skipped is not None:
-            self._record(*self.skipped)
-            self.skipped = None
         diag = {
             "J": np.array(self.J),
             "J_raw": np.array(self.J_raw),

@@ -112,7 +112,7 @@ def nlse_dns(
     One step of dt is L(dt/2) N(dt) L(dt/2): L is the exact linear flow,
     exp(-i k^2 dt) in Fourier space, and N the exact nonlinear flow
     u exp(i dt |u|^2).  Both are unitary, so the field keeps its mass to
-    rounding and stays finite; the scheme is second order in dt.  Takes
+    rounding and stays finite; the method is second order in dt.  Takes
     `dns_steps(t_end, dt)` steps of dt and returns (times, centre, last):
     the field at grid index n // 2 (x = 0 on `spectral_grid`) at every
     step, initial value first, and the final field.
@@ -373,7 +373,7 @@ def finite_time_instability(
     representable.  In unrotated eigencoordinates with power-of-two rates
     the floating-point update happens to be exactly antisymmetric, so a
     trajectory started on the stable branch never leaves it; that is a
-    measure-zero nicety of binary arithmetic, not stability of the scheme.
+    measure-zero nicety of binary arithmetic, not stability of the method.
     """
     lams = np.asarray(lams, dtype=float)
     if np.any(lams <= 0):

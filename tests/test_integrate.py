@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rons.ansatz import GaussianWavePacket, SineWave, VortexStreamFunction
+from rons.engine import assemble, reduced_rhs
 from rons.errors import DomainError, IntegrationAbort
 from rons.experiments import EXPERIMENTS, run
 from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
@@ -43,9 +44,19 @@ def exact_params(t, A0=1.0, L0=1.0, c=1.0, nu=0.1):
     return np.array([A0 * np.exp(-nu * t / L0**2), L0, -c * t / L0])
 
 
+def rk4_advdiff(advdiff_setup, t_end, dt):
+    """The advdiff reduced ODE from q = (1, 1, 0), by fixed-step RK4."""
+    fam, model, rule = advdiff_setup
+
+    def rhs(_t, q):
+        return reduced_rhs(assemble(fam, q, model, rule, ()))
+
+    return Trajectory(*solve_fixed_rk4(rhs, 0.0, np.array([1.0, 1.0, 0.0]), t_end, dt))
+
+
 def test_advdiff_trajectory_matches_exact(advdiff_setup):
     fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=10.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=10.0, rtol=1e-8, atol=1e-10)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
     for i, t in enumerate(traj.times):
         err = np.abs(traj.states[i] - exact_params(t))
@@ -56,17 +67,14 @@ def test_advdiff_trajectory_matches_exact(advdiff_setup):
 def test_constant_trajectory_for_zero_forcing(advdiff_setup):
     fam, _, rule = advdiff_setup
     model = advection_diffusion(0.0, 0.0)
-    cfg = IntegratorConfig(t_end=3.0, scheme="rk45")
+    cfg = IntegratorConfig(t_end=3.0)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.2], cfg)
     assert np.max(np.abs(traj.states - traj.states[0])) <= 1e-12
 
 
 def test_rk4_convergence_order(advdiff_setup):
-    fam, model, rule = advdiff_setup
-
     def endpoint_error(dt):
-        cfg = IntegratorConfig(t_end=2.0, scheme="rk4", dt=dt)
-        traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+        traj = rk4_advdiff(advdiff_setup, 2.0, dt)
         return np.max(np.abs(traj.states[-1] - exact_params(2.0)))
 
     ratio = endpoint_error(0.2) / endpoint_error(0.1)
@@ -77,7 +85,7 @@ def test_constrained_nlse_drift_over_long_run():
     fam = GaussianWavePacket()
     model = nlse()
     rule = make_rule(real_line(150.0), 1400)
-    cfg = IntegratorConfig(t_end=40.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=40.0, rtol=1e-8, atol=1e-10)
     traj = integrate(fam, model, rule, model.conserved, [0.2, 5.0, 0.0, 0.0], cfg)
     drift = traj.invariant_drift()
     assert np.all(drift <= 1e-6)
@@ -93,7 +101,7 @@ def test_unconstrained_packet_conserves_invariants_automatically():
     fam = GaussianWavePacket()
     model = nlse()
     rule = make_rule(real_line(120.0), 1000)
-    cfg = IntegratorConfig(t_end=20.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=20.0, rtol=1e-8, atol=1e-10)
     q0 = [0.2, 20.0, -0.05, 0.0]
     free = integrate(fam, model, rule, (), q0, cfg)
     pinned = integrate(fam, model, rule, model.conserved, q0, cfg)
@@ -105,9 +113,8 @@ def test_unconstrained_packet_conserves_invariants_automatically():
 
 
 def test_dense_eval_at_stored_time(advdiff_setup):
-    fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=5.0, scheme="rk4", dt=0.25)
-    traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+    fam, _, rule = advdiff_setup
+    traj = rk4_advdiff(advdiff_setup, 5.0, 0.25)
     k = len(traj) // 2
     field = fam.evaluate(rule.nodes, traj.interpolate(traj.times[k]))
     direct = fam.evaluate(rule.nodes, traj.states[k])
@@ -119,7 +126,7 @@ def test_dense_eval_at_stored_time(advdiff_setup):
 
 def test_dense_eval_matches_exact_solution(advdiff_setup):
     fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=3.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=3.0, rtol=1e-8, atol=1e-10)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
     field = fam.evaluate(rule.nodes, traj.interpolate(1.0))
     exact = exact_advdiff(1.0, 1.0, 1.0, 0.1, rule.nodes, 1.0)
@@ -147,7 +154,7 @@ def _hermite_reference(traj, t):
 
 def test_interpolate_array_matches_scalar_reference(advdiff_setup):
     fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=3.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=3.0, rtol=1e-8, atol=1e-10)
     traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
     ts = np.r_[np.linspace(0.0, 3.0, 2001), traj.times]
     reference = np.array([_hermite_reference(traj, t) for t in ts])
@@ -158,11 +165,8 @@ def test_interpolate_array_matches_scalar_reference(advdiff_setup):
 def test_dense_eval_midpoint_refinement(advdiff_setup):
     # cubic Hermite between steps is locally fourth order: halving the step
     # shrinks the midpoint gap against a fine reference by about 2^4
-    fam, model, rule = advdiff_setup
-
     def midpoint_gap(dt):
-        cfg = IntegratorConfig(t_end=1.0, scheme="rk4", dt=dt)
-        traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+        traj = rk4_advdiff(advdiff_setup, 1.0, dt)
         t_mid = traj.times[0] + dt / 2
         return np.max(np.abs(traj.interpolate(t_mid) - exact_params(t_mid)))
 
@@ -171,9 +175,7 @@ def test_dense_eval_midpoint_refinement(advdiff_setup):
 
 
 def test_dense_eval_out_of_range(advdiff_setup):
-    fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=1.0, scheme="rk4", dt=0.5)
-    traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
+    traj = rk4_advdiff(advdiff_setup, 1.0, 0.5)
     with pytest.raises(ValueError):
         traj.interpolate(2.0)
     with pytest.raises(ValueError):
@@ -191,7 +193,7 @@ class _ShrinkWidth(PdeModel):
 
 def test_domain_boundary_aborts_with_partial_trajectory(advdiff_setup):
     fam, _, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=2.0, scheme="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=2.0, rtol=1e-8, atol=1e-10)
     with pytest.raises(IntegrationAbort) as excinfo:
         integrate(fam, _ShrinkWidth(), rule, (), [1.0, 1.0, 0.0], cfg)
     partial = excinfo.value.partial
@@ -204,40 +206,22 @@ def test_domain_boundary_aborts_with_partial_trajectory(advdiff_setup):
     # the reduced equations; with two halvings allowed the abort names the
     # admissible set and carries the rejected stage's domain error
     assert "reduced equations broke down" not in str(excinfo.value)
-    few = IntegratorConfig(t_end=2.0, scheme="rk45", rtol=1e-8, atol=1e-10, max_domain_retries=2)
+    few = IntegratorConfig(t_end=2.0, rtol=1e-8, atol=1e-10, max_domain_retries=2)
     with pytest.raises(IntegrationAbort, match="inside the admissible set") as excinfo:
         integrate(fam, _ShrinkWidth(), rule, (), [1.0, 1.0, 0.0], few)
     assert isinstance(excinfo.value.cause.__cause__, DomainError)
     assert len(excinfo.value.partial) >= 1
 
 
-def test_stride_thins_records(advdiff_setup):
-    fam, model, rule = advdiff_setup
-    cfg_all = IntegratorConfig(t_end=2.0, scheme="rk4", dt=0.1)
-    # 20 steps: stride 3 records steps 0, 3, ..., 18 and then the last one
-    cfg_thin = IntegratorConfig(t_end=2.0, scheme="rk4", dt=0.1, stride=3)
-    full = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg_all)
-    thin = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg_thin)
-    assert len(thin) < len(full)
-    assert thin.times[0] == 0.0
-    assert thin.times[-1] == 2.0
-    assert np.array_equal(thin.states[-1], full.states[-1])
-
-
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(t_end=1.0, scheme="rk4")  # dt missing
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=1.0, scheme="euler")
-    with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, rtol=-1e-8)
-    # dt caps the rk45 step; None means no cap, and a cap must be positive
-    for scheme in ("rk45", "rk4"):
-        for dt in (-0.5, 0.0):
-            with pytest.raises(ValueError):
-                IntegratorConfig(t_end=1.0, scheme=scheme, dt=dt)
+    # dt caps the step; None means no cap, and a cap must be positive
+    for dt in (-0.5, 0.0):
+        with pytest.raises(ValueError):
+            IntegratorConfig(t_end=1.0, dt=dt)
     assert IntegratorConfig(t_end=1.0).dt is None
 
 
@@ -380,15 +364,6 @@ def test_exact_vorticity_tracks_a_custom_quantity():
         IntegratorConfig(t_end=0.5), track_quantities=(_VortexX(),),
     )
     assert np.array_equal(traj.diagnostics["invariants"][:, 0], traj.states[:, 2])
-
-
-def test_rk4_advdiff_assembles_each_state_once(assembled_states, advdiff_setup):
-    fam, model, rule = advdiff_setup
-    cfg = IntegratorConfig(t_end=1.0, scheme="rk4", dt=0.125)
-    traj = integrate(fam, model, rule, (), [1.0, 1.0, 0.0], cfg)
-    assert len(traj) == 9
-    assert len(assembled_states) == 4 * 8 + 1
-    assert len(set(assembled_states)) == len(assembled_states)
 
 
 # -- DP5(4) step control against its reference form -------------------------
