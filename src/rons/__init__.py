@@ -43,7 +43,6 @@ from .hilbert import (
     make_rule,
     norm_sq,
     periodic_interval,
-    plane,
     real_line,
 )
 from .integrate import IntegratorConfig, Trajectory, integrate

@@ -6,6 +6,8 @@ f_i = <du/dq_i, F(u)> from the model's projection (`PdeModel.projection`):
 weighted sums over the rule's nodes by default, or exact whole-domain
 integrals, which ignore the rule, for the Schroedinger model on the
 Gaussian wave packet and the vorticity model built with `exact=True`.
+Every projection returns M symmetric bit for bit (the quadrature
+contraction as 0.5 (M + M^T)), so the solve reads M as it comes.
 The optimal parameter velocity is qdot = M^-1 f.  With conserved
 quantities I_k enforced, qdot and the multipliers lambda_k solve the
 optimality conditions as one bordered (saddle-point) system
@@ -29,7 +31,6 @@ projection's bundle for it.  Only numpy is imported.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,27 +52,7 @@ __all__ = [
     "fit_initial",
 ]
 
-# relative asymmetry of a quadrature-assembled Gram matrix beyond which we
-# suspect an inconsistent rule rather than rounding
-_ASYM_WARN = 1e-10
 _EPS = np.finfo(float).eps
-
-
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    if (mat == mat.T).all():
-        # the closed-form and exact projections are symmetric bit for bit:
-        # the wave packet's by its formula, the exact vortex M because
-        # `vortex_integrals` returns it as 0.5 (M + M^T), this same arithmetic
-        return mat
-    sym = 0.5 * (mat + mat.T)
-    asym = np.abs(mat - mat.T).max() / max(np.abs(sym).max(), 1e-300)
-    if asym > _ASYM_WARN:
-        warnings.warn(
-            f"metric tensor asymmetric at relative level {asym:.2e}; "
-            "quadrature may be inconsistent",
-            stacklevel=3,
-        )
-    return sym
 
 
 def _spectrum(mat: np.ndarray, label: str) -> str:
@@ -154,15 +135,17 @@ def assemble(
     C^-1, which the bordered solve returns.  Their gradients come from the
     same model projection as M and f, so the state is evaluated once.  M is
     factored as it is: a near-singular M aborts with ImmersionError rather
-    than being silently regularized.
+    than being silently regularized.  Non-finite M, f or gradients, and an
+    M that is not exactly symmetric, raise ValueError.
     """
     qv = family.require_valid(q)
     quantities = tuple(quantities)
     proj = model.projection(family, qv, rule, quantities)
-    f, B = proj.f, proj.B
-    if not (np.isfinite(proj.M).all() and np.isfinite(f).all() and np.isfinite(B).all()):
+    M, f, B = proj.M, proj.f, proj.B
+    if not (np.isfinite(M).all() and np.isfinite(f).all() and np.isfinite(B).all()):
         raise ValueError("non-finite entries in M, f or the constraint gradients")
-    M = _symmetrize(proj.M)
+    if not (M == M.T).all():
+        raise ValueError("the projection's M is not exactly symmetric")
 
     if not quantities:
         try:
@@ -284,8 +267,10 @@ class FitResult:
 
 
 # converged when the gradient norm is below _FIT_GRAD_TOL * max(1, cost) or
-# an accepted step below _FIT_STEP_TOL * (1 + |q|); restarts scale the guess
-# by 1 + _FIT_START_SPREAD * z with z standard normal
+# an accepted step below _FIT_STEP_TOL * (1 + |q|), within _FIT_MAX_ITER
+# Gauss-Newton iterations per start; restarts scale the guess by
+# 1 + _FIT_START_SPREAD * z with z standard normal
+_FIT_MAX_ITER = 200
 _FIT_GRAD_TOL = 1e-12
 _FIT_STEP_TOL = 1e-14
 _FIT_START_SPREAD = 0.3
@@ -302,7 +287,6 @@ def fit_initial(
     rule: QuadratureRule,
     q_guess,
     *,
-    max_iter: int = 200,
     n_starts: int = 1,
     seed: int = 0,
 ) -> FitResult:
@@ -326,7 +310,7 @@ def fit_initial(
             q = q * (1.0 + _FIT_START_SPREAD * rng.standard_normal(len(q)))
             if not family.domain_check(q):
                 continue
-        result = _fit_single(family, u0, rule, q, max_iter)
+        result = _fit_single(family, u0, rule, q)
         if best is None or result.residual_norm < best.residual_norm:
             best = result
         if best.converged and best.residual_norm == 0.0:
@@ -334,14 +318,14 @@ def fit_initial(
 
     if best is None or not best.converged:
         raise FitError(
-            f"initial fit did not converge within {max_iter} iterations "
+            f"initial fit did not converge within {_FIT_MAX_ITER} iterations "
             f"(best residual {best.residual_norm if best else np.inf:.3e})",
             best=best,
         )
     return best
 
 
-def _fit_single(family, u0, rule, q, max_iter) -> FitResult:
+def _fit_single(family, u0, rule, q) -> FitResult:
     sqrt_w = np.sqrt(rule.weights)
     mu = 1e-3
     cost, r = _fit_cost(family, u0, rule, q)
@@ -358,7 +342,7 @@ def _fit_single(family, u0, rule, q, max_iter) -> FitResult:
             )
         return JT, sqrt_w * r_cur
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIT_MAX_ITER + 1):
         Jmat, rvec = jacobian_and_residual(q, r)
         grad = Jmat.T @ rvec                              # gradient of cost wrt q is -grad
         gnorm = float(np.linalg.norm(grad))
@@ -395,4 +379,4 @@ def _fit_single(family, u0, rule, q, max_iter) -> FitResult:
 
     Jmat, rvec = jacobian_and_residual(q, r)
     gnorm = float(np.linalg.norm(Jmat.T @ rvec))
-    return FitResult(q, np.sqrt(2.0 * cost), gnorm, max_iter, False)
+    return FitResult(q, np.sqrt(2.0 * cost), gnorm, _FIT_MAX_ITER, False)

@@ -66,7 +66,6 @@ __all__ = [
     "ExperimentSpec",
     "RunRecord",
     "EXPERIMENTS",
-    "list_experiments",
     "resolve_config",
     "run",
     "compare",
@@ -740,10 +739,6 @@ _register(
     },
     _run_fit_demo,
 )
-
-
-def list_experiments() -> dict[str, ExperimentSpec]:
-    return dict(EXPERIMENTS)
 
 
 def _is_real(value) -> bool:

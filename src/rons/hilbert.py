@@ -5,17 +5,19 @@ Inner products are plain weighted sums over quadrature nodes,
     <a, b> = sum_i w_i Re(a_i conj(b_i)),
 
 so real and complex fields share one code path and every Gram matrix built
-from them is real symmetric.  Periodic domains use the equispaced trapezoid
-rule (spectrally accurate there); unbounded domains are truncated to a box
-and integrated with Gauss-Legendre nodes, relying on the Gaussian decay of
-every ansatz in the catalog.  The vortex and wave-packet experiments solve
-their reduced equations without these rules, by exact integrals over the
-whole domain (`rons.models.vortex_integrals`, Gauss-Hermite, and
-`rons.models.wave_packet_integrals`, closed form); their rules serve field
-snapshots, the t = 0 core-centroid oracle and the quadrature projections.
-The 2D rules are Gauss-Legendre tensor rules on a box (`box_rule`) and keep
-their two 1-D axes, so that a field which factors into an x part and a y
-part is tabulated on the nx ny nodes from nx + ny factor values.
+from them is real symmetric.  `make_rule` builds the 1-D rules: periodic
+domains use the equispaced trapezoid rule (spectrally accurate there);
+unbounded lines are truncated to an interval and integrated with
+Gauss-Legendre nodes, relying on the Gaussian decay of every ansatz in the
+catalog.  The 2D rules are Gauss-Legendre tensor rules on a box
+(`box_rule`), such as a window around the vortices, and keep their two 1-D
+axes, so that a field which factors into an x part and a y part is
+tabulated on the nx ny nodes from nx + ny factor values.  The vortex and
+wave-packet experiments solve their reduced equations without these rules,
+by exact integrals over the whole domain (`rons.models.vortex_integrals`,
+Gauss-Hermite, and `rons.models.wave_packet_integrals`, closed form); their
+rules serve field snapshots, the t = 0 core-centroid oracle and the
+quadrature projections.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "Domain",
     "periodic_interval",
     "real_line",
-    "plane",
     "QuadratureRule",
     "make_rule",
     "inner_product",
@@ -43,22 +44,20 @@ __all__ = [
 class Domain:
     """Spatial domain of the PDE.
 
-    kind is one of "periodic" (interval of given length, periodic BCs),
-    "line" (the real line truncated to [-hw, hw]) or "plane" (R^2 truncated
-    to [-hw_x, hw_x] x [-hw_y, hw_y]).
+    kind is "periodic" (interval of given length, periodic BCs) or "line"
+    (the real line truncated to [-hw, hw]); extents holds that one length.
     """
 
     kind: str
     extents: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "line", "plane"):
+        if self.kind not in ("periodic", "line"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if any(not np.isfinite(e) or e <= 0 for e in self.extents):
             raise ValueError("domain extents must be positive and finite")
-        ndim = {"periodic": 1, "line": 1, "plane": 2}[self.kind]
-        if len(self.extents) != ndim:
-            raise ValueError(f"{self.kind} domain needs {ndim} extent(s)")
+        if len(self.extents) != 1:
+            raise ValueError(f"{self.kind} domain needs 1 extent")
 
 
 def periodic_interval(length: float) -> Domain:
@@ -67,11 +66,6 @@ def periodic_interval(length: float) -> Domain:
 
 def real_line(half_width: float) -> Domain:
     return Domain("line", (float(half_width),))
-
-
-def plane(half_width: float) -> Domain:
-    """The square [-half_width, half_width]^2."""
-    return Domain("plane", (float(half_width), float(half_width)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,16 +183,8 @@ def box_rule(lo, hi, resolution) -> QuadratureRule:
     return QuadratureRule(nodes, np.outer(wx, wy).ravel(), axes=(x, y))
 
 
-def make_rule(domain: Domain, resolution) -> QuadratureRule:
-    """Build the default rule for a domain.
-
-    resolution is the node count (per axis for plane domains, where a tuple
-    (nx, ny) is also accepted).
-    """
-    if domain.kind == "plane":
-        hx, hy = domain.extents
-        return box_rule((-hx, -hy), (hx, hy), resolution)
-
+def make_rule(domain: Domain, resolution: int) -> QuadratureRule:
+    """Build the default rule of `resolution` nodes for a domain."""
     n = int(resolution)
     if n < 2:
         raise ValueError("resolution must be >= 2")

@@ -69,7 +69,8 @@ class Trajectory:
 
     diagnostics maps names to arrays over recorded steps: "J", "J_raw",
     "cond_M", "cond_C" are scalars per step; "invariants" has one column per
-    tracked quantity and "tangency" one column per enforced constraint.
+    conserved quantity of the model and "tangency" one column per enforced
+    constraint.
     """
 
     times: np.ndarray
@@ -329,25 +330,19 @@ def integrate(
     quantities,
     q0,
     config: IntegratorConfig,
-    *,
-    track_quantities=None,
 ) -> Trajectory:
     """Integrate qdot = M^-1 [f - sum lambda_k grad I_k] from q0 to t_end.
 
     `rule` is the quadrature rule of the model's projection; the exact
     vorticity projection ignores it, so it may be None there.
-    `quantities` are enforced as constraints; `track_quantities` (default:
-    the model's conserved set) are recorded per step for drift diagnostics,
-    with their values read from the same projection (`value_at`).
+    `quantities` are enforced as constraints; the model's conserved set is
+    recorded per step for drift diagnostics, with its values read from the
+    same projection (`value_at`).
     """
     quantities = tuple(quantities)
-    if track_quantities is None:
-        track_quantities = tuple(model.conserved)
-    track_quantities = tuple(track_quantities)
-
     q0 = family.require_valid(q0)
 
-    recorder = _Recorder(family, quantities, track_quantities)
+    recorder = _Recorder(family, quantities, tuple(model.conserved))
 
     def rhs(_t, y):
         recorder.system = None  # release the previous state's tables first

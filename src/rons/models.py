@@ -40,9 +40,11 @@ exact projection reads.
 Conserved quantities expose a value and a gradient in parameter space.  The
 wave-packet mass and energy use closed-form Gaussian moments (cross-checked
 against quadrature in the tests).  The fluid invariants are quadrature sums
-on a rule, or exact sums over vortex pairs without one.  Gradients, and the
-values the recorder reads (`value_at`), come from the bundle of the
-projection; `value` alone is an independent computation from the family.
+on a rule, or exact sums over vortex pairs in the bundle of the exact
+projection.  Gradients, and the values the recorder reads (`value_at`),
+come from the bundle of the projection; `value` alone is an independent
+computation from the family, and the fluid invariants compute it on a box
+rule only.
 """
 
 from __future__ import annotations
@@ -150,17 +152,13 @@ class PdeModel:
         self, family: AnsatzFamily, q, rule: QuadratureRule, quantities=()
     ) -> Projection:
         """M, f and the quantities' gradients at q, by the weighted sums of
-        the rule over the nodes of `evaluation`."""
+        the rule over the nodes of `evaluation`.  M is returned as
+        0.5 (M + M^T), symmetric bit for bit, as every projection's is."""
         ev = self.evaluation(family, q, rule)
         Tw = ev.tangents * rule.weights
-        return _project(
-            family,
-            q,
-            ev,
-            quantities,
-            M=np.real(Tw @ ev.tangents.conj().T),
-            f=np.real(Tw @ np.conj(ev.F)),
-        )
+        M = np.real(Tw @ ev.tangents.conj().T)
+        f = np.real(Tw @ np.conj(ev.F))
+        return _project(family, q, ev, quantities, M=0.5 * (M + M.T), f=f)
 
     #: conserved quantities this model can enforce (may be empty)
     conserved: tuple = ()
@@ -171,10 +169,9 @@ class ConservedQuantity:
 
     `value` is an independent computation; it takes the quadrature rule so
     that a quantity evaluated by quadrature can use the nodes of the
-    reduced system it constrains (closed forms ignore it, and None asks for
-    the whole-domain value where a quantity has one).  `gradient` and
-    `value_at` read the bundle of the model's projection at q (closed forms
-    ignore it).
+    reduced system it constrains (closed forms ignore it; a quantity
+    evaluated by quadrature needs one).  `gradient` and `value_at` read the
+    bundle of the model's projection at q (closed forms ignore it).
     """
 
     name: str = "invariant"
@@ -187,7 +184,8 @@ class ConservedQuantity:
 
     def value_at(self, family: AnsatzFamily, q, evaluation) -> float:
         """The value at the state of the bundle; by default `value` on the
-        bundle's rule (None for the whole-plane VortexIntegrals)."""
+        bundle's rule (None for the whole-domain bundles, which closed
+        forms ignore)."""
         return self.value(family, q, evaluation.rule)
 
 
@@ -606,9 +604,11 @@ class VortexIntegrals:
         """||F||^2 = ||u . grad w||^2, the link-pair products, plus the
         nu-terms: one more `axis_factors` call, on the nodes of the link
         pairs alone."""
-        sites = _product_sites(self.family.n_vortices, self.nodes, _LINK_PAIRS)
-        A = self.family.unpack(self.q)[0]
-        total = _link_pair_sum(_grams(self.family, self.q, sites, self.nodes), sites, A)
+        total = 0.0
+        if self.family.n_vortices > 1:     # a lone vortex does not advect itself
+            sites = _product_sites(self.family.n_vortices, self.nodes, _LINK_PAIRS)
+            A = self.family.unpack(self.q)[0]
+            total = _link_pair_sum(_grams(self.family, self.q, sites, self.nodes), sites, A)
         for term in self.viscous:
             total += term
         return total
@@ -853,7 +853,7 @@ class Vorticity(PdeModel):
         self.conserved = euler_invariants()
 
     def apply_F(self, family, q, rule):
-        return self.evaluation(family, q, rule).F
+        return _window_flow(_grid(family, q, rule), self.nu)[3]
 
     def evaluation(self, family, q, rule):
         """The node bundle on a box rule, from one `axis_factors` call on its
@@ -885,15 +885,13 @@ def vorticity(nu: float, exact: bool = False) -> Vorticity:
 
 class KineticEnergy(ConservedQuantity):
     """I1 = 1/2 integral |u|^2 dA with u = (psi_y, -psi_x): by quadrature on
-    a rule, or exactly over the plane as a sum over vortex pairs."""
+    a box rule, or exactly over the plane as a sum over vortex pairs in the
+    exact projection's bundle."""
 
     name = "kinetic-energy"
 
     def value(self, family, q, rule=None):
-        fam = _require_stream_family(family)
-        if rule is None:
-            return vortex_integrals(fam, q, 0.0).energy
-        psi_x, psi_y = _on_grid(_grid(fam, q, rule), _value(_PSI_X) + _value(_PSI_Y))
+        psi_x, psi_y = _on_grid(_grid(family, q, rule), _value(_PSI_X) + _value(_PSI_Y))
         return float(0.5 * np.sum(rule.weights * (psi_x**2 + psi_y**2)))
 
     def value_at(self, family, q, evaluation):
@@ -911,16 +909,14 @@ class KineticEnergy(ConservedQuantity):
 
 
 class Enstrophy(ConservedQuantity):
-    """I2 = 1/2 integral w^2 dA with w = -lap psi: by quadrature on a rule,
-    or exactly over the plane as a sum over vortex pairs."""
+    """I2 = 1/2 integral w^2 dA with w = -lap psi: by quadrature on a box
+    rule, or exactly over the plane as a sum over vortex pairs in the exact
+    projection's bundle."""
 
     name = "enstrophy"
 
     def value(self, family, q, rule=None):
-        fam = _require_stream_family(family)
-        if rule is None:
-            return vortex_integrals(fam, q, 0.0).enstrophy
-        (w,) = _on_grid(_grid(fam, q, rule), _value(_W))
+        (w,) = _on_grid(_grid(family, q, rule), _value(_W))
         return float(0.5 * np.sum(rule.weights * w**2))
 
     def value_at(self, family, q, evaluation):

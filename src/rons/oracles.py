@@ -15,7 +15,9 @@
 The time-dependent oracles return plain arrays: `nlse_dns` gives the times,
 the centre value at every step and the final field, `point_vortex` the
 times and a (T, N, 2) array of centers.  `SpectralState` and
-`PointVortexState` are the validated initial states they start from.
+`PointVortexState` are the validated initial states they start from, at
+t = 0.  The instability demo integrates its modes in rotated phase planes,
+where rounding seeds the growing branch as in any real discretization.
 
 Everything here is deliberately independent of the engine module so that
 agreement between the two is evidence, not tautology.
@@ -65,11 +67,10 @@ def exact_advdiff(A0: float, L0: float, c: float, nu: float, x, t: float):
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Complex field on an equispaced periodic grid at one time."""
+    """Complex field on an equispaced periodic grid at t = 0."""
 
     length: float
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         n = len(self.values)
@@ -113,9 +114,10 @@ def nlse_dns(
     exp(-i k^2 dt) in Fourier space, and N the exact nonlinear flow
     u exp(i dt |u|^2).  Both are unitary, so the field keeps its mass to
     rounding and stays finite; the method is second order in dt.  Takes
-    `dns_steps(t_end, dt)` steps of dt and returns (times, centre, last):
-    the field at grid index n // 2 (x = 0 on `spectral_grid`) at every
-    step, initial value first, and the final field.
+    `dns_steps(t_end, dt)` steps of dt from t = 0 and returns (times,
+    centre, last): the field at grid index n // 2 (x = 0 on
+    `spectral_grid`) at every step, initial value first, and the final
+    field.
     """
     n_steps = dns_steps(t_end, dt)
     n = len(u0.values)
@@ -126,7 +128,7 @@ def nlse_dns(
     # w carried between steps is v half a linear step ahead: v = conj(half) w
     at_centre = (-1.0) ** np.arange(n) * np.conj(half) / n
 
-    times = u0.time + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     centre = np.empty(n_steps + 1, dtype=complex)
     centre[0] = u0.values[n // 2]
     # adjacent half steps merge into one full step, so a step is two
@@ -350,14 +352,11 @@ def _rotated_modes_rhs(lams: np.ndarray, theta: float):
     return rhs
 
 
-def finite_time_instability(
-    lams,
-    q0,
-    qdot0,
-    t_end: float,
-    *,
-    generic_frame: bool = True,
-) -> InstabilityResult:
+# the angle by which `finite_time_instability` rotates each mode's phase plane
+_FRAME_ANGLE = 0.6
+
+
+def finite_time_instability(lams, q0, qdot0, t_end: float) -> InstabilityResult:
     """Integrate the decoupled modes qddot_k = lambda_k^2 q_k.
 
     These are the Euler-Lagrange equations of the accumulated-error action
@@ -367,13 +366,13 @@ def finite_time_instability(
     modes are integrated at rtol 1e-10, atol 1e-14, and growth rates are
     fitted on the final half of the run.
 
-    With generic_frame=True (default) each mode's phase plane is rotated by
-    a fixed angle before integrating, which is how the system presents
-    itself in any real discretization whose eigenvectors are not exactly
-    representable.  In unrotated eigencoordinates with power-of-two rates
-    the floating-point update happens to be exactly antisymmetric, so a
-    trajectory started on the stable branch never leaves it; that is a
-    measure-zero nicety of binary arithmetic, not stability of the method.
+    Each mode's phase plane is rotated by a fixed angle (_FRAME_ANGLE)
+    before integrating, which is how the system presents itself in any real
+    discretization whose eigenvectors are not exactly representable.  In
+    unrotated eigencoordinates with power-of-two rates the floating-point
+    update happens to be exactly antisymmetric, so a trajectory started on
+    the stable branch never leaves it; that is a measure-zero nicety of
+    binary arithmetic, not stability of the method.
     """
     lams = np.asarray(lams, dtype=float)
     if np.any(lams <= 0):
@@ -382,11 +381,10 @@ def finite_time_instability(
     qdot0 = np.broadcast_to(np.asarray(qdot0, dtype=float), lams.shape).copy()
     nm = len(lams)
 
-    theta = 0.6 if generic_frame else 0.0
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = np.cos(_FRAME_ANGLE), np.sin(_FRAME_ANGLE)
     z0 = np.concatenate([ct * q0 - st * qdot0, st * q0 + ct * qdot0])
     times, zs, _ = solve_adaptive_rk45(
-        _rotated_modes_rhs(lams, theta), 0.0, z0, t_end, rtol=1e-10, atol=1e-14
+        _rotated_modes_rhs(lams, _FRAME_ANGLE), 0.0, z0, t_end, rtol=1e-10, atol=1e-14
     )
     qs = ct * zs[:, :nm] + st * zs[:, nm:]
     fitted = np.array([fit_growth_rate(times, qs[:, j]) for j in range(nm)])

@@ -11,7 +11,7 @@ from rons.ansatz import (
 )
 from rons.engine import assemble
 from rons.errors import DomainError
-from rons.hilbert import make_rule, periodic_interval, real_line
+from rons.hilbert import make_rule, periodic_interval
 from rons.models import advection_diffusion
 
 FD_TOL = 1e-6

@@ -32,7 +32,7 @@ from rons.errors import (
     ImmersionError,
 )
 from rons.experiments import EXPERIMENTS
-from rons.hilbert import box_rule, make_rule, periodic_interval, plane, real_line
+from rons.hilbert import box_rule, make_rule, periodic_interval, real_line
 from rons.models import (
     ConservedQuantity,
     KineticEnergy,
@@ -174,7 +174,7 @@ def test_immersion_error_on_dependent_tangents():
     # two exactly coincident vortices make the tangent fields pairwise equal
     fam = VortexStreamFunction(2)
     model = vorticity(0.0)
-    rule = make_rule(plane(6.0), 80)
+    rule = box_rule((-6.0, -6.0), (6.0, 6.0), 80)
     q = np.array([1.0, 1.0, 0.3, -0.2, 1.0, 1.0, 0.3, -0.2])
     with pytest.raises(ImmersionError) as err:
         assemble(fam, q, model, rule, model.conserved)
@@ -214,19 +214,19 @@ def test_domain_error_propagates():
 
 
 class _Corrupted(PdeModel):
-    """Advection-diffusion whose projection carries one non-finite entry in
-    M, f or B."""
+    """Advection-diffusion whose projection carries one corrupted entry in
+    M, f or B: the flat entry `at` set to `value`."""
 
     name = "corrupted"
 
-    def __init__(self, where, value):
-        self.where, self.value = where, value
+    def __init__(self, where, value, at=0):
+        self.where, self.value, self.at = where, value, at
         self.base = advection_diffusion(1.0, 0.1)
 
     def projection(self, family, q, rule=None, quantities=()):
         proj = self.base.projection(family, q, rule, quantities)
         parts = {"M": proj.M.copy(), "f": proj.f.copy(), "B": proj.B.copy()}
-        parts[self.where].flat[0] = self.value
+        parts[self.where].flat[self.at] = self.value
         return Projection(parts["M"], parts["f"], parts["B"], proj.evaluation)
 
 
@@ -239,6 +239,17 @@ def test_non_finite_system_raises(where, value):
     rule = make_rule(periodic_interval(2 * np.pi), 64)
     with pytest.raises(ValueError):
         assemble(fam, [1.0, 1.0, 0.0], _Corrupted(where, value), rule, (_PushAmplitude(),))
+
+
+def test_asymmetric_metric_raises():
+    # M[0, 1] one ulp up: the solve reads M as it comes, so an M that is not
+    # exactly symmetric is refused, not symmetrized
+    fam, q = SineWave(), np.array([1.0, 1.0, 0.0])
+    rule = make_rule(periodic_interval(2 * np.pi), 64)
+    M = advection_diffusion(1.0, 0.1).projection(fam, q, rule).M
+    assemble(fam, q, _Corrupted("M", M[0, 1], at=1), rule)  # the entry as it was
+    with pytest.raises(ValueError, match="symmetric"):
+        assemble(fam, q, _Corrupted("M", np.nextafter(M[0, 1], np.inf), at=1), rule)
 
 
 def _null_space_qdot(system):
@@ -415,7 +426,7 @@ def test_fit_far_guess_reported_honestly():
     # guess 100x too wide: the Gaussian overlaps poorly and the fit either
     # fails or lands away from the sharp truth; both must be reported
     try:
-        result = fit_initial(fam, u0, rule, np.array([1.0, 5.0]), max_iter=60)
+        result = fit_initial(fam, u0, rule, np.array([1.0, 5.0]))
     except FitError as err:
         assert err.best is not None
         assert err.best.residual_norm >= 0.0

@@ -12,7 +12,6 @@ from rons.experiments import (
     EXPERIMENTS,
     _write_csv,
     compare,
-    list_experiments,
     resolve_config,
     run,
     validate_summary,
@@ -36,7 +35,7 @@ EXPECTED_NAMES = {
 
 
 def test_registry_names():
-    assert set(list_experiments()) == EXPECTED_NAMES
+    assert set(EXPERIMENTS) == EXPECTED_NAMES
     assert len(EXPERIMENTS) == 10
 
 

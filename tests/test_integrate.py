@@ -22,7 +22,6 @@ from rons.models import (
     _LINK_PAIRS,
     _SOLVE_PRODUCTS,
     PRODUCT_NODES,
-    ConservedQuantity,
     PdeModel,
     _product_sites,
     advection_diffusion,
@@ -345,25 +344,22 @@ def test_euler_pair_recorder_adds_no_kernel_pass(monkeypatch, exact):
     assert widths.count(link_pairs) == len(traj)
 
 
-class _VortexX(ConservedQuantity):
-    """x of the first vortex, with the 3-argument value of a custom quantity."""
-
-    name = "x1"
-
-    def value(self, family, q, rule=None):
-        return float(q[2])
-
-
-def test_exact_vorticity_tracks_a_custom_quantity():
-    # the exact projection's bundle has no rule: a tracked quantity without
-    # its own value_at gets rule=None
-    defaults = EXPERIMENTS["euler-pair"].defaults
-    model = vorticity(defaults["nu"], exact=True)
+def test_exact_single_vortex_follows_the_heat_flow():
+    # a lone vortex does not advect itself, so psi follows the heat flow
+    # psi_t = nu lap psi, which keeps it a Gaussian: L^2 = L0^2 + 4 nu t,
+    # A L^2 constant and the centre fixed, with J = 0 up to rounding
+    q0, nu = np.array([1.0, 0.8, 0.3, -0.2]), 0.05
     traj = integrate(
-        VortexStreamFunction(2), model, None, model.conserved, defaults["q0"],
-        IntegratorConfig(t_end=0.5), track_quantities=(_VortexX(),),
+        VortexStreamFunction(1), vorticity(nu, exact=True), None, (), q0,
+        IntegratorConfig(t_end=2.0),
     )
-    assert np.array_equal(traj.diagnostics["invariants"][:, 0], traj.states[:, 2])
+    A, L, x, y = traj.states.T
+    assert traj.times[-1] == 2.0
+    assert np.max(np.abs(L**2 - (q0[1] ** 2 + 4.0 * nu * traj.times))) <= 1e-9
+    assert np.max(np.abs(A * L**2 / (q0[0] * q0[1] ** 2) - 1.0)) <= 1e-7
+    assert (x == q0[2]).all() and (y == q0[3]).all()
+    diag = traj.diagnostics
+    assert np.max(diag["J"] / diag["J_raw"]) <= 1e-12
 
 
 # -- DP5(4) step control against its reference form -------------------------
