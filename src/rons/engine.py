@@ -268,12 +268,10 @@ class FitResult:
 
 # converged when the gradient norm is below _FIT_GRAD_TOL * max(1, cost) or
 # an accepted step below _FIT_STEP_TOL * (1 + |q|), within _FIT_MAX_ITER
-# Gauss-Newton iterations per start; restarts scale the guess by
-# 1 + _FIT_START_SPREAD * z with z standard normal
+# Gauss-Newton iterations
 _FIT_MAX_ITER = 200
 _FIT_GRAD_TOL = 1e-12
 _FIT_STEP_TOL = 1e-14
-_FIT_START_SPREAD = 0.3
 
 
 def _fit_cost(family, u0, rule, q):
@@ -281,51 +279,26 @@ def _fit_cost(family, u0, rule, q):
     return 0.5 * float(np.sum(rule.weights * np.abs(r) ** 2)), r
 
 
-def fit_initial(
-    family: AnsatzFamily,
-    u0,
-    rule: QuadratureRule,
-    q_guess,
-    *,
-    n_starts: int = 1,
-    seed: int = 0,
-) -> FitResult:
+def fit_initial(family: AnsatzFamily, u0, rule: QuadratureRule, q_guess) -> FitResult:
     """Fit ansatz parameters to a sampled field by damped Gauss-Newton.
 
     The Jacobian of the residual is the (negated) tangent basis, so no
     finite differencing is involved.  Levenberg-style damping grows on
-    rejected steps and shrinks on accepted ones.  With n_starts > 1 the
-    guess is perturbed multiplicatively and the best converged fit wins;
-    the problem can be non-convex, so a bad basin is reported honestly via
-    FitError carrying the best iterate found.
+    rejected steps and shrinks on accepted ones.  The fit starts from
+    q_guess alone; the problem can be non-convex, so a bad basin is
+    reported honestly via FitError carrying the last iterate.
     """
-    u0 = np.asarray(u0)
-    q_guess = family.require_valid(q_guess)
-    rng = np.random.default_rng(seed)
-
-    best: FitResult | None = None
-    for start in range(n_starts):
-        q = q_guess.copy()
-        if start > 0:
-            q = q * (1.0 + _FIT_START_SPREAD * rng.standard_normal(len(q)))
-            if not family.domain_check(q):
-                continue
-        result = _fit_single(family, u0, rule, q)
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-        if best.converged and best.residual_norm == 0.0:
-            break
-
-    if best is None or not best.converged:
+    result = _gauss_newton(family, np.asarray(u0), rule, family.require_valid(q_guess))
+    if not result.converged:
         raise FitError(
             f"initial fit did not converge within {_FIT_MAX_ITER} iterations "
-            f"(best residual {best.residual_norm if best else np.inf:.3e})",
-            best=best,
+            f"(residual {result.residual_norm:.3e})",
+            best=result,
         )
-    return best
+    return result
 
 
-def _fit_single(family, u0, rule, q) -> FitResult:
+def _gauss_newton(family, u0, rule, q) -> FitResult:
     sqrt_w = np.sqrt(rule.weights)
     mu = 1e-3
     cost, r = _fit_cost(family, u0, rule, q)

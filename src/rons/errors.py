@@ -36,7 +36,8 @@ class DependentConstraintsError(RonsError):
 class FitError(RonsError):
     """Initial-condition fit failed to converge.
 
-    Carries the best iterate found so the caller can inspect it.
+    Carries the fit result of its last iterate, as `best`, so the caller
+    can inspect it.
     """
 
     def __init__(self, message, best=None):

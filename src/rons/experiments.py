@@ -157,7 +157,6 @@ class RunRecord:
 
 # the experiments that integrate the reduced dynamics and write snapshots
 _INTEGRATION_DEFAULTS = {
-    "dt": None,
     "rtol": 1e-8,
     "atol": 1e-10,
     "snapshots": 5,
@@ -180,7 +179,6 @@ def _window_rule(family: VortexStreamFunction, q, pad: float, resolution: int):
 def _integrator_config(config: dict) -> IntegratorConfig:
     return IntegratorConfig(
         t_end=config["t_end"],
-        dt=config["dt"],
         rtol=config["rtol"],
         atol=config["atol"],
     )
@@ -566,9 +564,7 @@ def _run_fit_demo(config, out_dir, files, series):
     u0 = u_true + noise
 
     guess = q_true * (1.0 + config["guess_offset"])
-    result = fit_initial(
-        family, u0, rule, guess, n_starts=config["n_starts"], seed=config["seed"]
-    )
+    result = fit_initial(family, u0, rule, guess)
     metrics = {
         "q_true": [float(v) for v in q_true],
         "q_fit": [float(v) for v in result.q],
@@ -594,9 +590,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
 
 def _register(name, description, defaults, runner):
-    """Declare an experiment with only the keys its runner reads, and
-    `out_dir`, which `run` reads."""
-    EXPERIMENTS[name] = ExperimentSpec(name, description, {**defaults, "out_dir": None}, runner)
+    """Declare an experiment with only the keys its runner reads."""
+    EXPERIMENTS[name] = ExperimentSpec(name, description, defaults, runner)
 
 
 _NLSE_FOCUSING = {
@@ -734,7 +729,6 @@ _register(
         "resolution": 400,
         "perturbation": 1e-3,
         "guess_offset": 0.25,
-        "n_starts": 1,
         "seed": 0,
     },
     _run_fit_demo,
@@ -765,11 +759,7 @@ def _plain(value):
 
 def _check_kind(key, value, default) -> None:
     """Raise ValueError unless `value` is of the kind of `key`'s default."""
-    if key == "out_dir":
-        kind, ok = "null or a path", value is None or isinstance(value, str)
-    elif default is None:                               # dt: no step cap
-        kind, ok = "null or a finite number", value is None or _is_real(value)
-    elif isinstance(default, list):                     # q0 and lambdas
+    if isinstance(default, list):                       # q0 and lambdas
         kind = f"a list of {len(default) if key == 'q0' else 'any number of'} finite numbers"
         ok = isinstance(value, list) and all(map(_is_real, value))
         ok = ok and (key != "q0" or len(value) == len(default))
@@ -777,10 +767,8 @@ def _check_kind(key, value, default) -> None:
         kind, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, int):
         kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    elif isinstance(default, float):
-        kind, ok = "a finite number", _is_real(value)
     else:
-        kind, ok = "a string", isinstance(value, str)
+        kind, ok = "a finite number", _is_real(value)
     if not ok:
         raise ValueError(f"{key} must be {kind}, not {value!r}")
 
@@ -791,8 +779,7 @@ _POSITIVE = (
     "t_horizon_over_lambda",
 )
 _AT_LEAST = {
-    "resolution": 2, "snapshots": 1, "n_states": 1, "n_modes": 1, "n_starts": 1,
-    "seed": 0, "nu": 0,
+    "resolution": 2, "snapshots": 1, "n_states": 1, "n_modes": 1, "seed": 0, "nu": 0,
 }
 
 
@@ -800,8 +787,11 @@ def resolve_config(config: dict) -> dict:
     """Merge a user config over the experiment defaults and validate it.
 
     Every supplied value must have the type of its key's default and lie in
-    the key's range; a wrong one raises ValueError.
+    the key's range; a wrong one raises ValueError, as does a config that
+    is not a dict (a JSON object).
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"a config must be a JSON object, not {config!r}")
     if "experiment" not in config:
         raise ValueError("config needs an 'experiment' key")
     name = config["experiment"]
@@ -847,8 +837,6 @@ def resolve_config(config: dict) -> dict:
                 f"n_modes {resolved['n_modes']} reaches wavenumber {top}, which "
                 f"needs resolution > {2 * top}, not {resolved['resolution']}"
             )
-    if "dt" in resolved:
-        _integrator_config(resolved)    # dt, as the run uses it
     return resolved
 
 
@@ -895,15 +883,14 @@ def validate_summary(summary: dict) -> None:
 def run(config: dict, out_dir: str | os.PathLike | None = None) -> RunRecord:
     """Execute one experiment; always writes a schema-valid summary.
 
+    The outputs go to `out_dir`, by default `output_root() / <name>`.
     Numerical aborts (domain, immersion and constraint failures) yield
     a record with status "failed" and the abort reason; config errors raise
     ValueError before anything is written.
     """
     resolved = resolve_config(config)
     name = resolved["experiment"]
-    if out_dir is None:
-        out_dir = resolved.get("out_dir") or (output_root() / name)
-    out_dir = Path(out_dir)
+    out_dir = Path(output_root() / name if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "config.json", "w") as fh:

@@ -12,7 +12,7 @@ Gauss-Legendre nodes, relying on the Gaussian decay of every ansatz in the
 catalog.  The 2D rules are Gauss-Legendre tensor rules on a box
 (`box_rule`), such as a window around the vortices, and keep their two 1-D
 axes, so that a field which factors into an x part and a y part is
-tabulated on the nx ny nodes from nx + ny factor values.  The vortex and
+tabulated on the n^2 nodes from 2n factor values.  The vortex and
 wave-packet experiments solve their reduced equations without these rules,
 by exact integrals over the whole domain (`rons.models.vortex_integrals`,
 Gauss-Hermite, and `rons.models.wave_packet_integrals`, closed form); their
@@ -44,28 +44,26 @@ __all__ = [
 class Domain:
     """Spatial domain of the PDE.
 
-    kind is "periodic" (interval of given length, periodic BCs) or "line"
-    (the real line truncated to [-hw, hw]); extents holds that one length.
+    kind is "periodic" (an interval of the given length, periodic BCs) or
+    "line" (the real line truncated to [-length, length]).
     """
 
     kind: str
-    extents: tuple[float, ...]
+    length: float
 
     def __post_init__(self):
         if self.kind not in ("periodic", "line"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if any(not np.isfinite(e) or e <= 0 for e in self.extents):
-            raise ValueError("domain extents must be positive and finite")
-        if len(self.extents) != 1:
-            raise ValueError(f"{self.kind} domain needs 1 extent")
+        if not np.isfinite(self.length) or self.length <= 0:
+            raise ValueError("domain length must be positive and finite")
 
 
 def periodic_interval(length: float) -> Domain:
-    return Domain("periodic", (float(length),))
+    return Domain("periodic", float(length))
 
 
 def real_line(half_width: float) -> Domain:
-    return Domain("line", (float(half_width),))
+    return Domain("line", float(half_width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +71,10 @@ class QuadratureRule:
     """Nodes and positive weights defining the discrete inner product.
 
     nodes has shape (P,) in 1D and (P, 2) in 2D; weights has shape (P,).
-    A tensor rule in 2D also keeps its 1-D axes (x, y), of nx and ny nodes
-    with P = nx ny: its nodes are every (x_i, y_j), x-major (node i ny + j),
-    so a field tabulated as an (nx, ny) grid ravels onto them.  axes is
-    None for every other rule.
+    A tensor rule in 2D also keeps its 1-D axes (x, y), of n nodes each
+    with P = n^2: its nodes are every (x_i, y_j), x-major (node i n + j),
+    so a field tabulated as an (n, n) grid ravels onto them.  axes is None
+    for every other rule.
     """
 
     nodes: np.ndarray
@@ -93,8 +91,9 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
         if self.axes is not None:
-            if len(self.axes[0]) * len(self.axes[1]) != len(self.nodes):
-                raise ValueError("the axes must span the nodes")
+            n = len(self.axes[0])
+            if len(self.axes[1]) != n or n * n != len(self.nodes):
+                raise ValueError("the axes must have equal lengths and span the nodes")
             for axis in self.axes:
                 axis.setflags(write=False)
 
@@ -162,22 +161,20 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def box_rule(lo, hi, resolution) -> QuadratureRule:
+def box_rule(lo, hi, resolution: int) -> QuadratureRule:
     """Gauss-Legendre tensor rule on an arbitrary 2D box [lo, hi].
 
-    resolution is the node count per axis, or a tuple (nx, ny).  Used for
-    windows around the current vortex positions, which may have translated
-    far from the origin, at a fixed node count.  The rule keeps its axes,
-    on which separable fields are tabulated factor by factor.
+    resolution is the node count of each axis.  Used for windows around the
+    current vortex positions, which may have translated far from the
+    origin, at a fixed node count.  The rule keeps its axes, on which
+    separable fields are tabulated factor by factor.
     """
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    nx, ny = (int(r) for r in resolution)
-    if nx < 2 or ny < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+    n = int(resolution)
+    if n < 2:
+        raise ValueError("resolution must be >= 2")
     (x0, y0), (x1, y1) = lo, hi
-    x, wx = gauss_legendre(x0, x1, nx)
-    y, wy = gauss_legendre(y0, y1, ny)
+    x, wx = gauss_legendre(x0, x1, n)
+    y, wy = gauss_legendre(y0, y1, n)
     X, Y = np.meshgrid(x, y, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     return QuadratureRule(nodes, np.outer(wx, wy).ravel(), axes=(x, y))
@@ -188,14 +185,13 @@ def make_rule(domain: Domain, resolution: int) -> QuadratureRule:
     n = int(resolution)
     if n < 2:
         raise ValueError("resolution must be >= 2")
+    length = domain.length
     if domain.kind == "periodic":
-        (length,) = domain.extents
         nodes = np.arange(n) * (length / n)
         weights = np.full(n, length / n)
         return QuadratureRule(nodes, weights)
-    # real line, truncated box
-    (hw,) = domain.extents
-    nodes, weights = gauss_legendre(-hw, hw, n)
+    # real line, truncated to [-length, length]
+    nodes, weights = gauss_legendre(-length, length, n)
     return QuadratureRule(nodes.copy(), weights.copy())
 
 

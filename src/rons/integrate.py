@@ -46,10 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Horizon, step cap and tolerances of one DP5(4) reduced-ODE run."""
+    """Horizon and tolerances of one DP5(4) reduced-ODE run."""
 
     t_end: float
-    dt: float | None = None       # largest step; None: no cap
     rtol: float = 1e-8
     atol: float = 1e-10
     max_domain_retries: int = 20
@@ -57,8 +56,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive (None: no step cap)")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -360,7 +357,6 @@ def integrate(
             config.t_end,
             rtol=config.rtol,
             atol=config.atol,
-            max_step=np.inf if config.dt is None else config.dt,
             max_domain_retries=config.max_domain_retries,
             step_callback=recorder,
         )

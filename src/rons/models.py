@@ -32,7 +32,7 @@ over the whole domain instead and ignore the rule; their bundles have
 The vorticity model's `evaluation` on a rule remains the node bundle for
 field snapshots, the t = 0 core-centroid oracle and the quadrature
 projection.  It needs a box rule: the same factoring makes every field
-and tangent table on the rule's nx x ny nodes a sum of outer products of
+and tangent table on the rule's n x n nodes a sum of outer products of
 factor rows on its two axes, built from one `axis_factors` call on the
 axes and the declarations (`_W`, `_PSI_X`, `_tangents`, ...) that the
 exact projection reads.
@@ -766,8 +766,8 @@ def _padded(rows) -> _PaddedRows:
 
 
 class _Grid(NamedTuple):
-    """The factor rows of one state on a box rule's axes, X (8, n_vortices,
-    nx) and Y (8, n_vortices, ny), and the row coefficients 1, A_v and
+    """The factor rows of one state on a box rule's axes, X and Y, each
+    (8, n_vortices, n), and the row coefficients 1, A_v and
     A_v / L_v, (3, n_vortices)."""
 
     X: np.ndarray
@@ -776,16 +776,13 @@ class _Grid(NamedTuple):
 
 
 def _grid(family, q, rule) -> _Grid:
-    """One `axis_factors` call, on the two axes of the rule as one node set
-    shared by all vortices (the shorter axis padded with zeros)."""
+    """One `axis_factors` call, on the rule's two axes (of equal length)
+    stacked as one node set shared by all vortices."""
     fam = _require_stream_family(family)
-    x, y = _require_axes(rule)
-    nodes = np.zeros((2, 1, max(len(x), len(y))))
-    nodes[0, 0, : len(x)], nodes[1, 0, : len(y)] = x, y
-    table = fam.axis_factors(nodes, q)
+    table = fam.axis_factors(np.stack(_require_axes(rule))[:, None], q)
     A, L, _, _ = fam.unpack(q)
     coefficients = np.array([np.ones_like(A), A, A / L])
-    return _Grid(table[:, 0, :, : len(x)], table[:, 1, :, : len(y)], coefficients)
+    return _Grid(table[:, 0], table[:, 1], coefficients)
 
 
 def _on_grid(grid: _Grid, rows, each_vortex: bool = False) -> np.ndarray:
@@ -851,9 +848,6 @@ class Vorticity(PdeModel):
         self.exact = bool(exact)
         self.name = "vorticity"
         self.conserved = euler_invariants()
-
-    def apply_F(self, family, q, rule):
-        return _window_flow(_grid(family, q, rule), self.nu)[3]
 
     def evaluation(self, family, q, rule):
         """The node bundle on a box rule, from one `axis_factors` call on its

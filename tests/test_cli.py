@@ -40,6 +40,16 @@ def test_run_validation_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("config", [5, None, "experiment", ["experiment"]])
+def test_config_that_is_not_an_object_is_a_validation_error(config, tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert main(["sweep", cfg, "nu", "0.1", "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: a config must be a JSON object") == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep").exists()
+
+
 def test_run_numerical_abort(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -48,10 +58,9 @@ def test_run_numerical_abort(tmp_path):
             "q0": [0.0, 0.75, -3.0, 0.5, -1.0, 0.75, -3.0, -0.5],
             "t_end": 1.0,
             "resolution": 48,
-            "out_dir": str(tmp_path / "out"),
         },
     )
-    assert main(["run", cfg]) == 2
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["status"] == "failed"
 

@@ -434,16 +434,6 @@ def test_fit_far_guess_reported_honestly():
         assert result.residual_norm >= 0.0  # honest diagnostics either way
 
 
-def test_fit_multi_start_can_rescue():
-    fam = HeatKernel()
-    rule = make_rule(real_line(10.0), 300)
-    q_true = np.array([1.0, 1.5])
-    u0 = fam.evaluate(rule.nodes, q_true)
-    result = fit_initial(fam, u0, rule, np.array([0.5, 4.0]), n_starts=5, seed=3)
-    assert result.converged
-    assert result.residual_norm <= 1e-6
-
-
 def _leapfrog_kernel_calls(monkeypatch, model):
     """Calls of the scattered-point tables (`terms`) and of the per-axis
     kernel (`axis_factors`) in one constrained assemble at the leapfrog q0."""

@@ -72,8 +72,6 @@ def test_resolve_config_validation():
 
 
 @pytest.mark.parametrize("config", [
-    {"experiment": "advdiff-exact", "dt": -0.5},
-    {"experiment": "advdiff-exact", "dt": 0},
     {"experiment": "advdiff-exact", "snapshots": 0},
     {"experiment": "nlse-focusing", "dns_dt": 0},
     # a reference that would stop short of t_end
@@ -97,7 +95,6 @@ def test_resolve_config_validation():
     # modes the equispaced rule cannot keep orthonormal
     {"experiment": "galerkin-equivalence", "n_modes": 64, "n_states": 2},
     {"experiment": "galerkin-equivalence", "n_modes": 63},
-    {"experiment": "fit-demo", "n_starts": 0},
     {"experiment": "advdiff-exact", "resolution": 100.7},
     {"experiment": "advdiff-exact", "rtol": True},
     {"experiment": "advdiff-exact", "rtol": float("nan")},
@@ -105,7 +102,11 @@ def test_resolve_config_validation():
     {"experiment": "nlse-unconstrained", "constrained": "no"},
     {"experiment": "euler-dipole", "window_pad": -1},
     {"experiment": "appendixA-instability", "t_horizon_over_lambda": 0},
-    # keys no runner of the experiment reads
+    # keys no runner of the experiment reads, whatever their value
+    {"experiment": "advdiff-exact", "dt": -0.5},
+    {"experiment": "advdiff-exact", "dt": 0},
+    {"experiment": "fit-demo", "n_starts": 0},
+    {"experiment": "fit-demo", "out_dir": "elsewhere"},
     pytest.param(
         {"experiment": "advdiff-exact", "scheme": "rk45"}, id="advdiff-exact,scheme=rk45"
     ),
@@ -202,8 +203,32 @@ def test_every_declared_key_is_read(name, tmp_path):
     spec = EXPERIMENTS[name]
     config = _ReadRecorder(resolve_config({"experiment": name, **SHORT[name]}))
     spec.runner(config, tmp_path, {}, {})
-    # `run` reads out_dir before it calls the runner
-    assert set(spec.defaults) - {"out_dir"} - config.read == set()
+    assert set(spec.defaults) - config.read == set()
+
+
+@pytest.mark.parametrize("name", sorted(SHORT))
+def test_config_json_reruns_verbatim(name, tmp_path):
+    # the written config.json, fed back to `run`, reproduces every CSV byte
+    # for byte and every metric
+    first = run({"experiment": name, **SHORT[name]}, out_dir=tmp_path / "a")
+    config = json.loads((first.out_dir / "config.json").read_text())
+    again = run(config, out_dir=tmp_path / "b")
+    assert again.config == first.config == config
+    csvs = sorted(p.name for p in first.out_dir.glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in again.out_dir.glob("*.csv"))
+    for rel in csvs:
+        assert (first.out_dir / rel).read_bytes() == (again.out_dir / rel).read_bytes(), rel
+    metrics = [json.loads(r.summary_path.read_text())["metrics"] for r in (first, again)]
+    assert metrics[0] == metrics[1]
+
+
+@pytest.mark.parametrize("config", [5, None, "experiment", ["experiment"]])
+def test_a_config_that_is_not_an_object_raises_value_error(config, tmp_path):
+    with pytest.raises(ValueError, match="JSON object"):
+        resolve_config(config)
+    with pytest.raises(ValueError, match="JSON object"):
+        run(config, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")

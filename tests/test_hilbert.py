@@ -9,6 +9,7 @@ from mpmath import mp
 
 from rons.errors import AlignmentError
 from rons.hilbert import (
+    QuadratureRule,
     _leggauss,
     box_rule,
     gauss_legendre,
@@ -173,19 +174,37 @@ def test_gauss_legendre_builds_in_linear_memory():
 
 
 def test_box_rule_axes_span_its_nodes_and_weights():
-    # a non-square box: the nodes are every (x_i, y_j), x-major, and the
+    # a box whose axes differ: the nodes are every (x_i, y_j), x-major, and the
     # weights the products of the axes' Gauss-Legendre weights, bit for bit
-    lo, hi, (nx, ny) = (-5.2, -6.3), (6.0, 4.9), (48, 40)
-    rule = box_rule(lo, hi, (nx, ny))
+    lo, hi, n = (-5.2, -6.3), (6.0, 4.9), 48
+    rule = box_rule(lo, hi, n)
     x, y = rule.axes
-    (gx, wx), (gy, wy) = gauss_legendre(lo[0], hi[0], nx), gauss_legendre(lo[1], hi[1], ny)
+    (gx, wx), (gy, wy) = gauss_legendre(lo[0], hi[0], n), gauss_legendre(lo[1], hi[1], n)
     assert np.array_equal(x, gx) and np.array_equal(y, gy)
-    assert np.array_equal(rule.nodes[:, 0], np.repeat(x, ny))
-    assert np.array_equal(rule.nodes[:, 1], np.tile(y, nx))
+    assert np.array_equal(rule.nodes[:, 0], np.repeat(x, n))
+    assert np.array_equal(rule.nodes[:, 1], np.tile(y, n))
     assert np.array_equal(rule.weights, (wx[:, None] * wy[None, :]).ravel())
     assert not x.flags.writeable and not y.flags.writeable
     assert make_rule(real_line(3.0), 16).axes is None
     assert make_rule(periodic_interval(3.0), 16).axes is None
+
+
+def test_tensor_rule_axes_have_one_length():
+    # the vortex window tables stack the two axes as one node set
+    x, wx = gauss_legendre(-1.0, 1.0, 4)
+    y, wy = gauss_legendre(-1.0, 1.0, 3)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    with pytest.raises(ValueError, match="equal lengths"):
+        QuadratureRule(nodes, np.outer(wx, wy).ravel(), axes=(x, y))
+
+
+def test_domain_has_one_positive_length():
+    assert periodic_interval(3).length == 3.0
+    assert real_line(2.5).length == 2.5
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            real_line(bad)
 
 
 @settings(max_examples=50, deadline=None)
